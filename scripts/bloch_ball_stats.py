@@ -17,12 +17,7 @@ import numpy as np
 
 from hopfq.entanglement import e_avg
 from hopfq.hopf_maps import hopf_base
-from hopfq.qubit_states import PureState, tensor
-
-
-def haar_state(rng, n):
-    z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return PureState(z / np.linalg.norm(z))
+from hopfq.qubit_states import PureState, haar_amplitudes, tensor
 
 
 def ball_radius_and_e(state):
@@ -44,7 +39,7 @@ def main() -> int:
     shell_residual = np.empty(args.samples)
     averaged = np.empty(args.samples)
     for k in range(args.samples):
-        state = haar_state(rng, 3)
+        state = PureState(haar_amplitudes(rng, 3))
         radius, e_cut1 = ball_radius_and_e(state)
         radii[k] = radius
         shell_residual[k] = abs(e_cut1 - (1.0 - radius ** 2))
@@ -52,7 +47,7 @@ def main() -> int:
 
     product_radii = np.empty(args.samples // 10)
     for k in range(product_radii.shape[0]):
-        state = tensor(haar_state(rng, 1), haar_state(rng, 2))
+        state = tensor(PureState(haar_amplitudes(rng, 1)), PureState(haar_amplitudes(rng, 2)))
         product_radii[k], _ = ball_radius_and_e(state)
 
     print(f"samples: {args.samples} (generic), {product_radii.shape[0]} (product)")

@@ -25,14 +25,16 @@ from .hopf_maps import (
     stereographic,
 )
 from .qubit_states import (
+    _MINOR_PAIRS,
     AlgebraPair,
     PureState,
+    cut_matrix,
+    det2,
     format_amplitudes,
     pack_coeffs,
     unpack,
 )
-
-_MINOR_COLS = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
+from .tolerances import ABS_TOL, IDENTITY_TOL, MAP_CONSISTENCY_TOL
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def suite_norm_multiplicativity(trials: int, rng: np.random.Generator) -> SuiteR
         inputs[idx, :dim] = a
         inputs[idx, 8 : 8 + dim] = b
     return _result(
-        "algebra_norm_multiplicativity", errors, 1e-10,
+        "algebra_norm_multiplicativity", errors, IDENTITY_TOL,
         lambda e: _coeff_counterexample(e, inputs),
     )
 
@@ -145,7 +147,7 @@ def suite_alternativity(trials: int, rng: np.random.Generator) -> SuiteResult:
     right = np.abs(mul_coeffs(ba, a, 3) - mul_coeffs(b, aa, 3)).max(axis=-1)
     errors = np.maximum(np.maximum(left, mid), right)
     return _result(
-        "algebra_alternativity", errors, 1e-12,
+        "algebra_alternativity", errors, ABS_TOL,
         lambda e: _coeff_counterexample(e, a, b),
     )
 
@@ -157,7 +159,7 @@ def suite_conj_anti_automorphism(trials: int, rng: np.random.Generator) -> Suite
     rhs = mul_coeffs(conj_coeffs(b), conj_coeffs(a), 3)
     errors = np.abs(lhs - rhs).max(axis=-1)
     return _result(
-        "algebra_conj_anti_automorphism", errors, 1e-12,
+        "algebra_conj_anti_automorphism", errors, ABS_TOL,
         lambda e: _coeff_counterexample(e, a, b),
     )
 
@@ -168,7 +170,7 @@ def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteRe
     # y is unit, so y^-1 = y*.
     errors = np.abs(mul_coeffs(mul_coeffs(x, y, 3), conj_coeffs(y), 3) - x).max(axis=-1)
     return _result(
-        "algebra_inverse_cancellation", errors, 1e-12,
+        "algebra_inverse_cancellation", errors, ABS_TOL,
         lambda e: _coeff_counterexample(e, x, y),
     )
 
@@ -190,7 +192,7 @@ def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResu
         errors[idx] = np.abs(np.sum(coords * coords, axis=-1) - 1.0)
         amps_record[idx, : 2 ** n] = amps
     return _result(
-        "base_normalization", errors, 1e-12,
+        "base_normalization", errors, ABS_TOL,
         lambda e: _state_counterexample(e, amps_record),
     )
 
@@ -211,7 +213,7 @@ def suite_stereographic_h1_consistency(trials: int, rng: np.random.Generator) ->
             amplitudes.append(amp)
     errors = np.array(errors)
     return _result(
-        "stereographic_h1_consistency", errors, 1e-9,
+        "stereographic_h1_consistency", errors, MAP_CONSISTENCY_TOL,
         lambda e: format_amplitudes(amplitudes[int(np.argmax(e))]),
     )
 
@@ -225,7 +227,7 @@ def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteRe
         state = hopf_inverse(base, HyperComplex(3, fibers[k]))
         errors[k] = np.abs(hopf_base(state).coords - bases[k]).max()
     return _result(
-        "fibration_round_trip", errors, 1e-9,
+        "fibration_round_trip", errors, MAP_CONSISTENCY_TOL,
         lambda e: _coeff_counterexample(e, bases, fibers),
     )
 
@@ -247,7 +249,7 @@ def suite_fiber_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
             np.abs(y_moved.coeffs - y.coeffs).max() if not is_infinite(y_moved) else 1.0
         )
     return _result(
-        "fiber_invariance", errors, 1e-10,
+        "fiber_invariance", errors, IDENTITY_TOL,
         lambda e: _state_counterexample(e, amps),
     )
 
@@ -282,7 +284,7 @@ def suite_gauge_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
         errors[idx] = err
         amps_record[idx, : 2 ** n] = amps
     return _result(
-        "gauge_invariance", errors, 1e-12,
+        "gauge_invariance", errors, ABS_TOL,
         lambda e: _state_counterexample(e, amps_record),
     )
 
@@ -309,33 +311,24 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
     qcoords = base_coords(qfirst, qsecond, 2)
     errors = np.maximum(errors, np.abs(qcoords[:, 2:4]).max(axis=-1))
     return _result(
-        "separability_sensitivity", errors, 1e-10,
+        "separability_sensitivity", errors, IDENTITY_TOL,
         lambda e: _state_counterexample(e, amps),
-    )
-
-
-def _cut_views(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cube = amps.reshape(-1, 2, 2, 2)
-    return (
-        cube.reshape(-1, 2, 4),
-        cube.transpose(0, 2, 1, 3).reshape(-1, 2, 4),
-        cube.transpose(0, 3, 1, 2).reshape(-1, 2, 4),
     )
 
 
 def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = _random_amplitudes(rng, 3, trials)
     errors = np.zeros(trials)
-    for view in _cut_views(amps):
+    for cut in entanglement.CUTS:
+        view = cut_matrix(amps, cut)
         flat = view.reshape(-1, 8)
         first, second = pack_coeffs(flat)
         coords = base_coords(first, second, 3)
         e_values = np.sum(coords[:, 2:8] ** 2, axis=-1)
         rho = np.einsum("bij,bkj->bik", view, view.conj())
-        det = (rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]).real
-        errors = np.maximum(errors, np.abs(e_values - 4.0 * det))
+        errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
     return _result(
-        "e_equals_4_det_rho", errors, 1e-10,
+        "e_equals_4_det_rho", errors, IDENTITY_TOL,
         lambda e: _state_counterexample(e, amps),
     )
 
@@ -344,14 +337,14 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
     amps = _random_amplitudes(rng, 3, trials)
     e_sum = np.zeros(trials)
     minor_sum = np.zeros(trials)
-    for view in _cut_views(amps):
+    for cut in entanglement.CUTS:
+        view = cut_matrix(amps, cut)
         flat = view.reshape(-1, 8)
         first, second = pack_coeffs(flat)
         coords = base_coords(first, second, 3)
         e_sum += np.sum(coords[:, 2:8] ** 2, axis=-1)
-        for j, k in _MINOR_COLS:
-            minors = view[:, 0, j] * view[:, 1, k] - view[:, 0, k] * view[:, 1, j]
-            minor_sum += 2.0 * np.abs(minors) ** 2
+        for pair in _MINOR_PAIRS:
+            minor_sum += 2.0 * np.abs(det2(view[..., pair])) ** 2
     # The normalization constant is looked up at call time on purpose: the
     # suite is the canary for a miscalibrated constant.
     errors = np.abs(entanglement.MINOR_SUM_NORMALIZATION * minor_sum - e_sum / 3.0)
@@ -362,7 +355,7 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
             abs(entanglement.minor_measure(state) - entanglement.e_avg(state)),
         )
     return _result(
-        "minor_measure_equals_e_avg", errors, 1e-10,
+        "minor_measure_equals_e_avg", errors, IDENTITY_TOL,
         lambda e: _state_counterexample(e, amps),
     )
 
@@ -380,9 +373,9 @@ def suite_bloch_ball_containment(trials: int, rng: np.random.Generator) -> Suite
     boundary = np.abs(
         pcoords[:, 0] ** 2 + pcoords[:, 1] ** 2 + pcoords[:, 8] ** 2 - 1.0
     )
-    errors = np.maximum(errors, np.where(boundary > 1e-10, boundary, 0.0))
+    errors = np.maximum(errors, np.where(boundary > IDENTITY_TOL, boundary, 0.0))
     return _result(
-        "bloch_ball_containment", errors, 1e-12,
+        "bloch_ball_containment", errors, ABS_TOL,
         lambda e: _state_counterexample(e, amps),
     )
 

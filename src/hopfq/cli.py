@@ -5,19 +5,21 @@ number rendered at 12 significant digits, fields in a fixed order, so
 identical inputs produce byte-identical output.
 
 Exit codes: 0 ok, 1 invariant failure (check), 2 parse error,
-3 contract violation (for example an unnormalized state without
---renormalize).
+3 contract violation (for example an unnormalized or non-finite state
+without --renormalize).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import checks
 from .entanglement import (
+    CUTS,
     classify,
     e_avg,
     partial_trace_keep,
@@ -34,8 +36,10 @@ from .hopf_maps import (
 from .qubit_states import (
     PureState,
     cut_state,
+    first_qubit_matrix,
     format_amplitudes,
     format_number as _fmt,
+    haar_amplitudes,
     parse_amplitudes,
 )
 from .tolerances import CLI_NORM_ACCEPT, SEPARABILITY_TOL
@@ -62,6 +66,8 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
     """Parse a state spec and apply the normalization policy."""
     amps = parse_amplitudes(spec)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not math.isfinite(norm_sq):
+        raise ContractViolationError(f"state norm^2 = {norm_sq!r} is not finite")
     if norm_sq == 0.0:
         raise ValueError("state spec has zero norm")
     if abs(norm_sq - 1.0) > CLI_NORM_ACCEPT and not renormalize:
@@ -88,24 +94,24 @@ def _density_text(matrix: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def _analyze_three(state: PureState, tol: float, lines: list[str]) -> None:
+    cut_states = [cut_state(state, cut) for cut in CUTS]
     lines.append("base:")
-    for cut in (1, 2, 3):
-        coords = hopf_base(cut_state(state, cut)).coords
-        lines.append(f"  cut {cut}: {_fmt_labeled_coords(coords)}")
+    for cut, moved in zip(CUTS, cut_states):
+        lines.append(f"  cut {cut}: {_fmt_labeled_coords(hopf_base(moved).coords)}")
     lines.append("h1:")
-    for cut in (1, 2, 3):
-        lines.append(f"  cut {cut}: {_h1_text(cut_state(state, cut))}")
+    for cut, moved in zip(CUTS, cut_states):
+        lines.append(f"  cut {cut}: {_h1_text(moved)}")
     lines.append("density:")
-    for cut in (1, 2, 3):
+    for cut in CUTS:
         lines.append(f"  cut {cut}: {_density_text(partial_trace_keep(state, cut).matrix)}")
     report = classify(state, tol)
     lines.append("entanglement:")
-    for cut, e in zip((1, 2, 3), report.e_per_cut):
+    for cut, e in zip(CUTS, report.e_per_cut):
         lines.append(f"  e cut {cut}: {_fmt(e)}")
     lines.append(f"  e avg: {_fmt(report.e_avg)}")
     lines.append(f"  minor measure: {_fmt(report.minor_measure)}")
     lines.append(f"  classification: {report.classification}")
-    for cut, res in zip((1, 2, 3), report.residuals_per_cut):
+    for cut, res in zip(CUTS, report.residuals_per_cut):
         lines.append(f"  residuals cut {cut}: {_fmt_vec(res)}")
     chain = iterated_analysis(state, tol)
     lines.append("chain:")
@@ -127,7 +133,7 @@ def _analyze_two(state: PureState, tol: float, lines: list[str]) -> None:
     lines.append(f"  value: {_fmt_labeled_coords(base.coords)}")
     lines.append("h1:")
     lines.append(f"  value: {_h1_text(state)}")
-    m = state.amplitudes.reshape(2, 2)
+    m = first_qubit_matrix(state.amplitudes)
     lines.append("density:")
     lines.append(f"  first qubit: {_density_text(m @ m.conj().T)}")
     residual = separability_2qubit(state)
@@ -215,11 +221,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(args.seed)
-    dim = 2 ** args.n
     values = np.empty(args.count)
     for k in range(args.count):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        values[k] = _sample_e(PureState(z / np.linalg.norm(z)))
+        values[k] = _sample_e(PureState(haar_amplitudes(rng, args.n)))
     if args.histogram:
         edges = np.linspace(0.0, 1.0, args.histogram + 1)
         counts, _ = np.histogram(values, bins=edges)
@@ -241,6 +245,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     results = checks.run_all(args.trials, args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .hopf_maps import BasePoint, base_entanglement, hopf_base
-from .qubit_states import PureState, cut_minors, cut_state, reshape_matrix
+from .qubit_states import PureState, cut_minors, cut_state, det2, reshape_matrix, split_residual
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
 
 #: Normalization of the minor-sum measure, fixed so that it equals the
@@ -43,7 +43,7 @@ class DensityMatrix2:
             raise ContractViolationError("matrix is not Hermitian")
         if abs(m[0, 0] + m[1, 1] - 1.0) > ABS_TOL:
             raise ContractViolationError("matrix trace must be 1")
-        det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+        det = det2(m).real
         if det < -ABS_TOL:
             raise ContractViolationError(f"matrix determinant {det!r} is negative")
         m.setflags(write=False)
@@ -54,8 +54,7 @@ class DensityMatrix2:
         return self._matrix
 
     def det(self) -> float:
-        m = self._matrix
-        return float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
+        return float(det2(self._matrix).real)
 
     def bloch(self) -> tuple[float, float, float]:
         """Bloch vector (x, y, z) with rho = (1 + x sx + y sy + z sz)/2."""
@@ -112,9 +111,12 @@ def minor_measure(state: PureState) -> float:
     counted twice) and over the three cuts, scaled by
     MINOR_SUM_NORMALIZATION.
     """
+    return _minor_sum([cut_minors(state, cut) for cut in CUTS])
+
+
+def _minor_sum(minors_per_cut) -> float:
     total = 0.0
-    for cut in CUTS:
-        minors = cut_minors(state, cut)
+    for minors in minors_per_cut:
         total += 2.0 * float(np.sum(np.abs(minors) ** 2))
     return MINOR_SUM_NORMALIZATION * total
 
@@ -129,8 +131,7 @@ def separability_2qubit(state: PureState) -> float:
     """|alpha0*beta1 - alpha1*beta0| of a 2-qubit state; 0 iff separable."""
     if state.n != 2:
         raise ContractViolationError("separability_2qubit expects a 2-qubit state")
-    a = state.amplitudes
-    return float(abs(a[0] * a[3] - a[1] * a[2]))
+    return split_residual(state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +165,8 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
     """
     if state.n != 3:
         raise ContractViolationError("classify expects a 3-qubit state")
-    residuals = tuple(
-        tuple(float(r) for r in separability_conditions(state, cut)) for cut in CUTS
-    )
+    minors = [cut_minors(state, cut) for cut in CUTS]
+    residuals = tuple(tuple(float(r) for r in np.abs(m)) for m in minors)
     passes = [max(res) <= tol for res in residuals]
     if all(passes):
         label = FULLY_SEPARABLE
@@ -178,7 +178,7 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
     return EntanglementReport(
         e_per_cut=per_cut,
         e_avg=float(np.mean(per_cut)),
-        minor_measure=minor_measure(state),
+        minor_measure=_minor_sum(minors),
         classification=label,
         residuals_per_cut=residuals,
     )

@@ -32,18 +32,18 @@ from typing import Union
 
 import numpy as np
 
-from .division_algebra import HyperComplex, conj_coeffs, exp_imaginary, mul_coeffs
+from .division_algebra import HyperComplex, conj_coeffs, exp_imaginary, mul_coeffs, polar
 from .errors import ContractViolationError, SeparabilityError
 from .qubit_states import (
     AlgebraPair,
     PureState,
-    cut_minors,
+    first_qubit_matrix,
     pack,
     pack_coeffs,
-    reshape_matrix,
+    split_residual,
     unpack,
 )
-from .tolerances import ABS_TOL, INFINITY_NORM_SQ, SEPARABILITY_TOL
+from .tolerances import ABS_TOL, AXIS_TOL, INFINITY_NORM_SQ, SEPARABILITY_TOL, UNIT_INPUT_TOL
 
 _DIM_TO_LEVEL = {3: 1, 5: 2, 9: 3}
 _LEVEL_TO_DIM = {1: 3, 2: 5, 3: 9}
@@ -61,7 +61,7 @@ class BasePoint:
                 f"base point needs 3, 5 or 9 coordinates, got shape {arr.shape}"
             )
         total = float(arr @ arr)
-        if abs(total - 1.0) > ABS_TOL:
+        if not abs(total - 1.0) <= ABS_TOL:  # also rejects NaN
             raise ContractViolationError(f"coordinates must have unit norm, sum sq = {total!r}")
         arr.setflags(write=False)
         self._coords = arr
@@ -144,17 +144,17 @@ def h1_value(state: PureState) -> ExtendedValue:
 def stereographic(base: BasePoint) -> ExtendedValue:
     """Algebra value whose inverse stereographic image is the base point."""
     x = base.coords
-    level = base.level
-    denom = 1.0 - x[-1]
+    # Near the pole 1 - X_last keeps only the absolute accuracy of X_last; on
+    # the unit sphere it equals (X_1^2 + ... + X_{last-1}^2) / (1 + X_last),
+    # which keeps the relative accuracy.  Up to X_last = 1/2 the direct form
+    # is as accurate, and it is kept there.
+    head = x[:-1]
+    denom = float(head @ head) / (1.0 + x[-1]) if x[-1] > 0.5 else 1.0 - x[-1]
     if denom < 2.0 * INFINITY_NORM_SQ:
         return INFINITY
-    dim = 2 ** level
-    c = np.empty(dim)
-    c[0] = x[0]
-    c[1] = -x[1]
-    if dim > 2:
-        c[2:] = x[2:dim]
-    return HyperComplex(level, c / denom)
+    c = head.copy()
+    c[1] = -c[1]
+    return HyperComplex(base.level, c / denom)
 
 
 def stereographic_inverse(value: ExtendedValue, level: int | None = None) -> BasePoint:
@@ -197,30 +197,22 @@ class FiberChart:
     fiber: HyperComplex
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.omega <= math.pi / 2.0 + 1e-12:
+        if not -ABS_TOL <= self.omega <= math.pi / 2.0 + ABS_TOL:
             raise ContractViolationError(f"omega {self.omega!r} outside [0, pi/2]")
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
+        if not -ABS_TOL <= self.theta <= math.pi + ABS_TOL:
             raise ContractViolationError(f"theta {self.theta!r} outside [0, pi]")
-        if abs(self.axis.scalar_part) > 1e-9 or abs(self.axis.norm_sq() - 1.0) > 1e-9:
+        if abs(self.axis.scalar_part) > AXIS_TOL or abs(self.axis.norm_sq() - 1.0) > AXIS_TOL:
             raise ContractViolationError("axis must be unit and purely imaginary")
-        if abs(self.fiber.norm_sq() - 1.0) > 1e-9:
+        if abs(self.fiber.norm_sq() - 1.0) > UNIT_INPUT_TOL:
             raise ContractViolationError("fiber must be a unit octonion")
 
 
-def _polar_direction(value: ExtendedValue) -> tuple[float, HyperComplex]:
-    """(theta, axis) of the normalized ratio value; (0, i1) near zero."""
-    if is_infinite(value):
+def _polar_direction(value: HyperComplex) -> tuple[float, HyperComplex]:
+    """(angle, axis) of ``polar(value)``, and (0, i1) for zero."""
+    if value.norm() == 0.0:
         return 0.0, HyperComplex.unit(3, 1)
-    assert isinstance(value, HyperComplex)
-    norm = value.norm()
-    if norm == 0.0:
-        return 0.0, HyperComplex.unit(3, 1)
-    theta = math.acos(max(-1.0, min(1.0, value.scalar_part / norm)))
-    v = value.vector_part()
-    vnorm = v.norm()
-    if vnorm / norm < ABS_TOL:
-        return theta, HyperComplex.unit(3, 1)
-    return theta, v / vnorm
+    form = polar(value)
+    return form.angle, form.axis
 
 
 def hopf_inverse(base: BasePoint, fiber: HyperComplex) -> PureState:
@@ -229,7 +221,7 @@ def hopf_inverse(base: BasePoint, fiber: HyperComplex) -> PureState:
         raise ContractViolationError("hopf_inverse expects a dim-9 base point")
     if fiber.level != 3:
         raise ContractViolationError("fiber must be an octonion")
-    if abs(fiber.norm_sq() - 1.0) > 1e-9:
+    if abs(fiber.norm_sq() - 1.0) > UNIT_INPUT_TOL:
         raise ContractViolationError("fiber must be a unit octonion")
     o = fiber / fiber.norm()
     value = stereographic(base)
@@ -278,17 +270,19 @@ def _gauge_fix(amplitudes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bloch_point(x: float, y: float, z: float) -> BasePoint:
-    vec = np.array([x, y, z])
-    return BasePoint(vec / np.linalg.norm(vec))
-
-
 def _extract_factor(matrix: np.ndarray) -> PureState:
     """Normalized, gauge-fixed dominant row of a rank-1 (within tol) matrix."""
     norms = np.linalg.norm(matrix, axis=1)
     row = matrix[int(np.argmax(norms))]
     row = _gauge_fix(row / np.linalg.norm(row))
     return PureState(row / np.linalg.norm(row))
+
+
+def _split_first_qubit(state: PureState, base: BasePoint) -> tuple[BasePoint, PureState]:
+    """Bloch point and factor of a 2- or 3-qubit state whose first qubit separates."""
+    bloch = base.coords[[0, 1, -1]]
+    factor = _extract_factor(first_qubit_matrix(state.amplitudes))
+    return BasePoint(bloch / np.linalg.norm(bloch)), factor
 
 
 def fiber_decompose(
@@ -303,29 +297,12 @@ def fiber_decompose(
     """
     if state.n != 3:
         raise ContractViolationError("fiber_decompose expects a 3-qubit state")
-    residuals = np.abs(cut_minors(state, 1))
-    if float(residuals.max()) > tol:
-        raise SeparabilityError(
-            f"state is entangled across cut 1: max residual {residuals.max():.3e}"
-        )
-    x = hopf_base(state).coords
-    bloch = _bloch_point(x[0], x[1], x[8])
-    factor = _extract_factor(reshape_matrix(state, 1))
-    return bloch, factor
-
-
-def _split_two_qubit(state: PureState, tol: float) -> tuple[BasePoint, PureState]:
-    """Second-fibration analogue of fiber_decompose for a 2-qubit state."""
-    residual = abs(
-        state.amplitudes[0] * state.amplitudes[3]
-        - state.amplitudes[1] * state.amplitudes[2]
-    )
+    residual = split_residual(state.amplitudes)
     if residual > tol:
-        raise SeparabilityError(f"2-qubit state is entangled: residual {residual:.3e}")
-    x = hopf_base(state).coords
-    bloch = _bloch_point(x[0], x[1], x[4])
-    factor = _extract_factor(state.amplitudes.reshape(2, 2))
-    return bloch, factor
+        raise SeparabilityError(
+            f"state is entangled across cut 1: max residual {residual:.3e}"
+        )
+    return _split_first_qubit(state, hopf_base(state))
 
 
 @dataclass(frozen=True)
@@ -359,25 +336,15 @@ def iterated_analysis(state: PureState, tol: float = SEPARABILITY_TOL) -> Iterat
         raise ContractViolationError("iterated_analysis expects a 3-qubit state")
     stages: list[ChainStage] = []
     bloch_points: list[BasePoint] = []
-
-    base9 = hopf_base(state)
-    sep1 = float(np.abs(cut_minors(state, 1)).max()) <= tol
-    stages.append(ChainStage(3, base9, base_entanglement(base9), sep1, sep1))
-    if not sep1:
-        return IteratedReport(tuple(stages), (), False)
-    bloch1, pair_state = fiber_decompose(state, tol)
-    bloch_points.append(bloch1)
-
-    base5 = hopf_base(pair_state)
-    amp = pair_state.amplitudes
-    sep2 = abs(amp[0] * amp[3] - amp[1] * amp[2]) <= tol
-    stages.append(ChainStage(2, base5, base_entanglement(base5), sep2, sep2))
-    if not sep2:
-        return IteratedReport(tuple(stages), tuple(bloch_points), False)
-    bloch2, last_qubit = _split_two_qubit(pair_state, tol)
-    bloch_points.append(bloch2)
-
-    base3 = hopf_base(last_qubit)
-    stages.append(ChainStage(1, base3, 0.0, True, False))
-    bloch_points.append(base3)
+    while state.n > 1:
+        base = hopf_base(state)
+        separable = split_residual(state.amplitudes) <= tol
+        stages.append(ChainStage(state.n, base, base_entanglement(base), separable, separable))
+        if not separable:
+            return IteratedReport(tuple(stages), tuple(bloch_points), False)
+        bloch, state = _split_first_qubit(state, base)
+        bloch_points.append(bloch)
+    base = hopf_base(state)
+    stages.append(ChainStage(1, base, 0.0, True, False))
+    bloch_points.append(base)
     return IteratedReport(tuple(stages), tuple(bloch_points), True)

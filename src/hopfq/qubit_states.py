@@ -28,7 +28,7 @@ import numpy as np
 
 from .division_algebra import HyperComplex
 from .errors import ContractViolationError, UnsupportedSizeError
-from .tolerances import ABS_TOL, STATE_NORM_TOL
+from .tolerances import ABS_TOL, STATE_NORM_TOL, UNIT_INPUT_TOL
 
 QUBIT_COUNTS = (1, 2, 3)
 
@@ -46,7 +46,7 @@ class PureState:
                 f"amplitude vector must have length 2, 4 or 8, got shape {arr.shape}"
             )
         norm_sq = float(np.sum(np.abs(arr) ** 2))
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
+        if not abs(norm_sq - 1.0) <= STATE_NORM_TOL:  # also rejects NaN
             raise ContractViolationError(
                 f"state is not normalized: sum |amplitude|^2 = {norm_sq!r}"
             )
@@ -136,6 +136,16 @@ class AlgebraPair:
 # Packing
 # ---------------------------------------------------------------------------
 
+# Coefficient slots of the packed pair, first then second, as indices into
+# the amplitudes laid out as (re, im) pairs.  For 8 amplitudes the swapped
+# slots 5 <-> 7 and 13 <-> 15 place beta1 and gamma1 conjugated.
+_PACK_ORDER = {
+    2: np.arange(4),
+    4: np.arange(8),
+    8: np.array([0, 1, 2, 3, 4, 7, 6, 5, 8, 9, 10, 11, 12, 15, 14, 13]),
+}
+
+
 def pack_coeffs(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient arrays (first, second) of the packed pair.
 
@@ -145,60 +155,22 @@ def pack_coeffs(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.asarray(amplitudes, dtype=complex)
     size = a.shape[-1]
-    if size == 2:
-        first = np.stack([a[..., 0].real, a[..., 0].imag], axis=-1)
-        second = np.stack([a[..., 1].real, a[..., 1].imag], axis=-1)
-    elif size == 4:
-        first = np.stack(
-            [a[..., 0].real, a[..., 0].imag, a[..., 1].real, a[..., 1].imag], axis=-1
-        )
-        second = np.stack(
-            [a[..., 2].real, a[..., 2].imag, a[..., 3].real, a[..., 3].imag], axis=-1
-        )
-    elif size == 8:
-        a0, a1, b0, b1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-        d0, d1, g0, g1 = a[..., 4], a[..., 5], a[..., 6], a[..., 7]
-        first = np.stack(
-            [a0.real, a0.imag, a1.real, a1.imag, b0.real, b1.imag, b1.real, b0.imag],
-            axis=-1,
-        )
-        second = np.stack(
-            [d0.real, d0.imag, d1.real, d1.imag, g0.real, g1.imag, g1.real, g0.imag],
-            axis=-1,
-        )
-    else:
+    if size not in _PACK_ORDER:
         raise ContractViolationError(f"cannot pack amplitude vector of length {size}")
-    return first, second
+    parts = np.stack([a.real, a.imag], axis=-1).reshape(a.shape[:-1] + (2 * size,))
+    order = _PACK_ORDER[size]
+    return np.take(parts, order[:size], axis=-1), np.take(parts, order[size:], axis=-1)
 
 
 def unpack_coeffs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Inverse of pack_coeffs; returns the complex amplitude array."""
     f = np.asarray(first, dtype=float)
-    s = np.asarray(second, dtype=float)
-    dim = f.shape[-1]
-    if dim == 2:
-        cols = [f[..., 0] + 1j * f[..., 1], s[..., 0] + 1j * s[..., 1]]
-    elif dim == 4:
-        cols = [
-            f[..., 0] + 1j * f[..., 1],
-            f[..., 2] + 1j * f[..., 3],
-            s[..., 0] + 1j * s[..., 1],
-            s[..., 2] + 1j * s[..., 3],
-        ]
-    elif dim == 8:
-        cols = [
-            f[..., 0] + 1j * f[..., 1],
-            f[..., 2] + 1j * f[..., 3],
-            f[..., 4] + 1j * f[..., 7],
-            f[..., 6] + 1j * f[..., 5],
-            s[..., 0] + 1j * s[..., 1],
-            s[..., 2] + 1j * s[..., 3],
-            s[..., 4] + 1j * s[..., 7],
-            s[..., 6] + 1j * s[..., 5],
-        ]
-    else:
-        raise ContractViolationError(f"cannot unpack coefficient vectors of length {dim}")
-    return np.stack(cols, axis=-1)
+    size = f.shape[-1]
+    if size not in _PACK_ORDER:
+        raise ContractViolationError(f"cannot unpack coefficient vectors of length {size}")
+    parts = np.empty(f.shape[:-1] + (2 * size,))
+    parts[..., _PACK_ORDER[size]] = np.concatenate([f, np.asarray(second, dtype=float)], axis=-1)
+    return parts[..., 0::2] + 1j * parts[..., 1::2]
 
 
 def pack(state: PureState) -> AlgebraPair:
@@ -224,19 +196,23 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
+def haar_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One Haar-uniform amplitude vector: normalized i.i.d. complex Gaussians."""
+    z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    return z / np.linalg.norm(z)
+
+
 def random_state(n: int, seed: int) -> PureState:
-    """Haar-uniform random state: normalized i.i.d. complex Gaussians."""
+    """Haar-uniform random state drawn from a generator seeded with ``seed``."""
     if n not in QUBIT_COUNTS:
         raise ContractViolationError(f"qubit count must be in {QUBIT_COUNTS}, got {n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return PureState(z / np.linalg.norm(z))
+    return PureState(haar_amplitudes(np.random.default_rng(seed), n))
 
 
 def state_from_bloch(x: float, y: float, z: float) -> PureState:
     """Single-qubit state with the given Bloch vector (unit length)."""
     r = math.sqrt(x * x + y * y + z * z)
-    if abs(r - 1.0) > 1e-9:
+    if abs(r - 1.0) > UNIT_INPUT_TOL:
         raise ContractViolationError(f"Bloch vector must be unit length, |v| = {r!r}")
     theta = math.acos(max(-1.0, min(1.0, z / r)))
     phi = math.atan2(y, x)
@@ -247,6 +223,52 @@ def state_from_bloch(x: float, y: float, z: float) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
+# Amplitude order that moves the cut qubit to the front, keeping the other
+# two in their original order: cube.transpose(0, 1, 2), (1, 0, 2), (2, 0, 1).
+_CUT_ORDER = {
+    1: np.array([0, 1, 2, 3, 4, 5, 6, 7]),
+    2: np.array([0, 1, 4, 5, 2, 3, 6, 7]),
+    3: np.array([0, 2, 4, 6, 1, 3, 5, 7]),
+}
+
+# Column pairs of the six 2x2 minors of the reshaped matrix, ordered to match
+# the bilinear separability conditions for cut 1:
+# a0*g1 - d0*b1, a0*g0 - d0*b0, a0*d1 - d0*a1, a1*g1 - d1*b1, a1*g0 - d1*b0,
+# b0*g1 - g0*b1.
+_MINOR_PAIRS = np.array([(0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3)])
+
+
+def det2(m: np.ndarray):
+    """Determinant over the last two axes; a single 2x2 matrix gives a scalar."""
+    (a, b), (c, d) = np.asarray(m).transpose(-2, -1, *range(np.ndim(m) - 2))
+    return a * d - b * c
+
+
+def first_qubit_matrix(amplitudes: np.ndarray) -> np.ndarray:
+    """(..., 2, 2**(n-1)) matrices with the first qubit as the row index."""
+    return amplitudes.reshape(amplitudes.shape[:-1] + (2, -1))
+
+
+def cut_matrix(amplitudes: np.ndarray, cut: int) -> np.ndarray:
+    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first."""
+    if cut not in _CUT_ORDER:
+        raise ContractViolationError(f"cut must be 1, 2 or 3, got {cut}")
+    return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut], axis=-1))
+
+
+def matrix_minors(matrix: np.ndarray) -> np.ndarray:
+    """The six 2x2 minors of (..., 2, 4) matrices, in _MINOR_PAIRS order."""
+    return det2(np.swapaxes(matrix[..., _MINOR_PAIRS], -3, -2))
+
+
+def split_residual(amplitudes: np.ndarray) -> float:
+    """Largest |2x2 minor| of a 2- or 3-qubit first_qubit_matrix; 0 iff it splits."""
+    m = first_qubit_matrix(amplitudes)
+    if m.shape[-1] == 2:
+        return float(abs(det2(m)))
+    return float(np.abs(matrix_minors(m)).max())
+
+
 def reshape_matrix(state: PureState, cut: int) -> np.ndarray:
     """2x4 matrix of a 3-qubit state with the cut qubit as the row index.
 
@@ -254,14 +276,7 @@ def reshape_matrix(state: PureState, cut: int) -> np.ndarray:
     """
     if state.n != 3:
         raise ContractViolationError("reshape_matrix requires a 3-qubit state")
-    cube = state.amplitudes.reshape(2, 2, 2)
-    if cut == 1:
-        return cube.reshape(2, 4)
-    if cut == 2:
-        return cube.transpose(1, 0, 2).reshape(2, 4)
-    if cut == 3:
-        return cube.transpose(2, 0, 1).reshape(2, 4)
-    raise ContractViolationError(f"cut must be 1, 2 or 3, got {cut}")
+    return cut_matrix(state.amplitudes, cut)
 
 
 def cut_state(state: PureState, cut: int) -> PureState:
@@ -269,23 +284,12 @@ def cut_state(state: PureState, cut: int) -> PureState:
     return PureState(reshape_matrix(state, cut).reshape(-1))
 
 
-# Column pairs of the six 2x2 minors of the reshaped matrix, ordered to match
-# the bilinear separability conditions for cut 1:
-# a0*g1 - d0*b1, a0*g0 - d0*b0, a0*d1 - d0*a1, a1*g1 - d1*b1, a1*g0 - d1*b0,
-# b0*g1 - g0*b1.
-_MINOR_PAIRS = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
-
-
 def cut_minors(state: PureState, cut: int) -> np.ndarray:
     """The six 2x2 minors of reshape_matrix(state, cut), as complex values.
 
     All six vanish exactly when the cut qubit separates from the other two.
     """
-    m = reshape_matrix(state, cut)
-    return np.array(
-        [m[0, j] * m[1, k] - m[0, k] * m[1, j] for j, k in _MINOR_PAIRS],
-        dtype=complex,
-    )
+    return matrix_minors(reshape_matrix(state, cut))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ SEPARABILITY_TOL = 1e-9
 # than this from a unit pure-imaginary element.
 AXIS_TOL = 1e-9
 
+# Inputs required to be unit length (fiber octonions, Bloch vectors) may
+# deviate this much from it.
+UNIT_INPUT_TOL = 1e-9
+
 # The ratio map returns the point at infinity when the squared norm of the
 # second pair member falls below this.
 INFINITY_NORM_SQ = 1e-15

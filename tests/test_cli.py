@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import hopfq.entanglement
 from hopfq.cli import main
@@ -167,6 +168,22 @@ def test_unnormalized_rejected_without_flag(capsys):
     assert "renormalize" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "nan,0 0,0"],
+        ["analyze", "1,0 0,0 0,0 0,nan"],
+        ["analyze", "inf,0 0,0", "--renormalize"],
+        ["coords", "nan,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0"],
+    ],
+)
+def test_non_finite_input_rejected(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_renormalize_flag(capsys):
     code, out, _ = run(capsys, ["analyze", "2,0 0,0", "--renormalize"])
     assert code == 0
@@ -267,3 +284,11 @@ def test_check_counterexample_is_parseable(capsys, monkeypatch):
     assert match is not None
     amps = parse_amplitudes(match.group(1))
     assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_check_rejects_vacuous_trials(capsys, trials):
+    code, out, err = run(capsys, ["check", "--trials", trials])
+    assert code == 2
+    assert out == ""
+    assert "trials must be at least 1" in err

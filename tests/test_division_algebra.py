@@ -235,6 +235,14 @@ def test_polar_round_trip(a):
     assert coeffs_close(form.reconstruct(), a, tol=1e-12 * max(1.0, a.norm()))
 
 
+@pytest.mark.parametrize("scalar", [1.0, -1.0])
+@pytest.mark.parametrize("tiny", [1e-9, 1e-6, 1e-4])
+def test_polar_round_trip_near_real_axis(scalar, tiny):
+    a = HyperComplex(3, [scalar, tiny, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    form = polar(a)
+    assert coeffs_close(form.reconstruct(), a, tol=1e-15)
+
+
 def test_polar_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         polar(HyperComplex.zero(2))

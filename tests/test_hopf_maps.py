@@ -466,3 +466,40 @@ def test_iterated_reconstructs_full_products():
             state_from_bloch(*report.bloch_points[2].coords),
         )
         assert overlap(rebuilt, state) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Near the pole and non-finite input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("o2_norm_sq", [1e-8, 1e-12, 1e-14])
+def test_stereographic_matches_h1_near_pole(n, o2_norm_sq):
+    rng = np.random.default_rng(97 + n)
+    half = 2 ** (n - 1)
+    for _ in range(20):
+        amps = random_amps(rng, n)
+        amps[:half] *= math.sqrt(1.0 - o2_norm_sq) / np.linalg.norm(amps[:half])
+        amps[half:] *= math.sqrt(o2_norm_sq) / np.linalg.norm(amps[half:])
+        state = PureState(amps)
+        projected = stereographic(hopf_base(state))
+        ratio = h1_value(state)
+        assert not is_infinite(projected) and not is_infinite(ratio)
+        scale = np.abs(ratio.coeffs).max()
+        assert np.abs(projected.coeffs - ratio.coeffs).max() <= 1e-12 * scale
+
+
+def test_base_point_rejects_nan():
+    with pytest.raises(ContractViolationError):
+        BasePoint([math.nan, 0.0, 0.0])
+    with pytest.raises(ContractViolationError):
+        BasePoint([0.0, math.nan, 0.0, 0.0, 1.0])
+
+
+def test_iterated_analysis_two_qubit_stage_matches_separability():
+    rng = np.random.default_rng(101)
+    for _ in range(10):
+        # One separable qubit times a generic (entangled) 2-qubit state.
+        report = iterated_analysis(tensor(haar_state(rng, 1), haar_state(rng, 2)))
+        assert [s.level for s in report.stages] == [3, 2]
+        assert not report.fully_separable and len(report.bloch_points) == 1

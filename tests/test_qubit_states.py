@@ -12,17 +12,24 @@ from hopfq.errors import ContractViolationError, UnsupportedSizeError
 from hopfq.qubit_states import (
     AlgebraPair,
     PureState,
+    cut_matrix,
     cut_minors,
     cut_state,
+    det2,
     format_amplitudes,
     format_number,
+    haar_amplitudes,
+    matrix_minors,
     pack,
+    pack_coeffs,
     parse_amplitudes,
     random_state,
     reshape_matrix,
+    split_residual,
     state_from_bloch,
     tensor,
     unpack,
+    unpack_coeffs,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -362,3 +369,108 @@ def test_format_amplitudes_parses_back():
 def test_pack_round_trip_property(state):
     back = unpack(pack(state))
     assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Per-cut formulas against direct references
+# ---------------------------------------------------------------------------
+
+_CUT_TRANSPOSE = {1: (0, 1, 2), 2: (1, 0, 2), 3: (2, 0, 1)}
+
+
+def random_batch(rng, shape):
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_cut_matrix_matches_transpose_form(cut):
+    rng = np.random.default_rng(80 + cut)
+    amps = random_batch(rng, (40, 8))
+    axes = (0,) + tuple(a + 1 for a in _CUT_TRANSPOSE[cut])
+    want = amps.reshape(-1, 2, 2, 2).transpose(axes).reshape(-1, 2, 4)
+    assert np.array_equal(cut_matrix(amps, cut), want)
+    assert np.array_equal(cut_matrix(amps.reshape(5, 8, 8), cut), want.reshape(5, 8, 2, 4))
+    for row, matrix in zip(amps, want):
+        assert np.array_equal(reshape_matrix(PureState(row), cut), matrix)
+
+
+def test_cut_matrix_rejects_bad_cut():
+    with pytest.raises(ContractViolationError):
+        cut_matrix(np.zeros(8, dtype=complex), 0)
+
+
+def test_det2_single_matrix_is_the_scalar_formula():
+    rng = np.random.default_rng(83)
+    for m in random_batch(rng, (50, 4)).reshape(-1, 2, 2):
+        got = det2(m)
+        assert not isinstance(got, np.ndarray)
+        assert got == m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def test_det2_batch_matches_reference():
+    rng = np.random.default_rng(84)
+    batch = random_batch(rng, (30, 4)).reshape(3, 10, 2, 2)
+    want = np.array(
+        [[m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] for m in row] for row in batch]
+    )
+    np.testing.assert_allclose(det2(batch), want, rtol=0.0, atol=1e-15)
+    assert np.allclose(det2(batch), np.linalg.det(batch), atol=1e-15)
+
+
+def test_matrix_minors_match_list_reference():
+    rng = np.random.default_rng(85)
+    amps = random_batch(rng, (30, 8))
+    matrices = amps.reshape(-1, 2, 4)
+    pairs = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
+    batched = matrix_minors(matrices)
+    assert batched.shape == (30, 6)
+    for m, got in zip(matrices, batched):
+        want = [m[0, j] * m[1, k] - m[0, k] * m[1, j] for j, k in pairs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        # A batch of one gives the same bits as the batch.
+        assert np.array_equal(matrix_minors(m), got)
+
+
+def test_split_residual_two_and_three_qubits():
+    rng = np.random.default_rng(86)
+    for _ in range(20):
+        a = random_amps(rng, 2)
+        assert split_residual(a) == abs(a[0] * a[3] - a[1] * a[2])
+        state = haar_state(rng, 3)
+        assert split_residual(state.amplitudes) == np.abs(cut_minors(state, 1)).max()
+    product = tensor(haar_state(rng, 1), haar_state(rng, 2))
+    assert split_residual(product.amplitudes) <= 1e-15
+
+
+def test_haar_amplitudes_draw_order():
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(87)
+        z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        assert np.array_equal(haar_amplitudes(np.random.default_rng(87), n), z / np.linalg.norm(z))
+        assert np.array_equal(
+            random_state(n, 87).amplitudes, haar_amplitudes(np.random.default_rng(87), n)
+        )
+
+
+def test_pack_coeffs_named_slots():
+    rng = np.random.default_rng(88)
+    amps = random_batch(rng, (20, 8))
+    a0, a1, b0, b1, d0, d1, g0, g1 = amps.T
+    first, second = pack_coeffs(amps)
+    assert np.array_equal(first, np.stack(
+        [a0.real, a0.imag, a1.real, a1.imag, b0.real, b1.imag, b1.real, b0.imag], axis=-1))
+    assert np.array_equal(second, np.stack(
+        [d0.real, d0.imag, d1.real, d1.imag, g0.real, g1.imag, g1.real, g0.imag], axis=-1))
+    # Contiguous rows keep the einsum in base_coords summing in one order.
+    assert first.flags.c_contiguous and second.flags.c_contiguous
+    for n in (1, 2, 3):
+        batch = random_batch(rng, (7, 2 ** n))
+        assert np.array_equal(unpack_coeffs(*pack_coeffs(batch)), batch)
+
+
+def test_pure_state_rejects_nan():
+    with pytest.raises(ContractViolationError):
+        PureState([math.nan, 0.0])
+    with pytest.raises(ContractViolationError):
+        PureState([math.inf, 0.0, 0.0, 0.0])
