@@ -25,12 +25,12 @@ from .hopf_maps import (
     stereographic,
 )
 from .qubit_states import (
-    _MINOR_PAIRS,
     AlgebraPair,
     PureState,
     cut_matrix,
     det2,
     format_amplitudes,
+    matrix_minors,
     pack_coeffs,
     unpack,
 )
@@ -343,8 +343,8 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
         first, second = pack_coeffs(flat)
         coords = base_coords(first, second, 3)
         e_sum += np.sum(coords[:, 2:8] ** 2, axis=-1)
-        for pair in _MINOR_PAIRS:
-            minor_sum += 2.0 * np.abs(det2(view[..., pair])) ** 2
+        for minor in matrix_minors(view).T:
+            minor_sum += 2.0 * np.abs(minor) ** 2
     # The normalization constant is looked up at call time on purpose: the
     # suite is the canary for a miscalibrated constant.
     errors = np.abs(entanglement.MINOR_SUM_NORMALIZATION * minor_sum - e_sum / 3.0)

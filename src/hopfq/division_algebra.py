@@ -332,21 +332,16 @@ class PolarForm:
 def polar(a: HyperComplex) -> PolarForm:
     """Polar decomposition of a nonzero element.
 
-    angle = arccos(scalar/|a|) in [0, pi]; axis is the normalized vector
-    part, or i1 when the vector part vanishes.
+    angle = atan2(|vector|, scalar) in [0, pi]; axis is the normalized
+    vector part, or i1 when the vector part vanishes.  (arccos(scalar/|a|)
+    loses small angles: it gives 0 for 1 + 1e-9 i1.)
     """
     mag = a.norm()
     if mag == 0.0:
         raise ZeroDivisionError("polar form of zero is undefined")
     v = a.vector_part()
     vnorm = v.norm()
-    # Near angle 0 or pi, scalar/|a| rounds towards +-1 and arccos loses the
-    # angle (1 + 1e-9 i1 gave angle 0); atan2 keeps it.  Elsewhere arccos is
-    # as accurate, and it is kept there.
-    if vnorm < 0.5 * mag:
-        angle = math.atan2(vnorm, a.scalar_part)
-    else:
-        angle = math.acos(max(-1.0, min(1.0, a.scalar_part / mag)))
+    angle = math.atan2(vnorm, a.scalar_part)
     if vnorm <= ABS_TOL * mag:
         axis = HyperComplex.unit(a.level, 1)
     else:
