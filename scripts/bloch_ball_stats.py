@@ -15,16 +15,15 @@ import argparse
 
 import numpy as np
 
-from hopfq.entanglement import e_avg
-from hopfq.hopf_maps import hopf_base
-from hopfq.qubit_states import PureState, haar_amplitudes, tensor
+from hopfq.entanglement import cut_entanglement
+from hopfq.hopf_maps import base_coords
+from hopfq.qubit_states import haar_amplitudes, pack_coeffs
 
 
-def ball_radius_and_e(state):
-    coords = hopf_base(state).coords
-    radius = np.sqrt(coords[0] ** 2 + coords[1] ** 2 + coords[8] ** 2)
-    e_cut1 = float(np.sum(coords[2:8] ** 2))
-    return radius, e_cut1
+def ball_radius(amplitudes):
+    """Radius of the (X1, X2, X9) Bloch point of each row of 3-qubit amplitudes."""
+    coords = base_coords(*pack_coeffs(amplitudes), 3)
+    return np.sqrt(coords[:, 0] ** 2 + coords[:, 1] ** 2 + coords[:, 8] ** 2)
 
 
 def main() -> int:
@@ -35,20 +34,15 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    radii = np.empty(args.samples)
-    shell_residual = np.empty(args.samples)
-    averaged = np.empty(args.samples)
-    for k in range(args.samples):
-        state = PureState(haar_amplitudes(rng, 3))
-        radius, e_cut1 = ball_radius_and_e(state)
-        radii[k] = radius
-        shell_residual[k] = abs(e_cut1 - (1.0 - radius ** 2))
-        averaged[k] = e_avg(state)
+    amplitudes = haar_amplitudes(rng, 3, args.samples)
+    radii = ball_radius(amplitudes)
+    e_per_cut = cut_entanglement(amplitudes)
+    shell_residual = np.abs(e_per_cut[:, 0] - (1.0 - radii ** 2))
+    averaged = e_per_cut.mean(axis=-1)
 
-    product_radii = np.empty(args.samples // 10)
-    for k in range(product_radii.shape[0]):
-        state = tensor(PureState(haar_amplitudes(rng, 1)), PureState(haar_amplitudes(rng, 2)))
-        product_radii[k], _ = ball_radius_and_e(state)
+    products = args.samples // 10
+    one, two = haar_amplitudes(rng, 1, products), haar_amplitudes(rng, 2, products)
+    product_radii = ball_radius((one[:, :, None] * two[:, None, :]).reshape(products, 8))
 
     print(f"samples: {args.samples} (generic), {product_radii.shape[0]} (product)")
     print(f"max |E - (1 - r^2)| over samples: {shell_residual.max():.3e}")

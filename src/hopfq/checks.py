@@ -2,8 +2,9 @@
 
 Each suite draws its own deterministic sample, exercises one family of
 identities, and reports trial/failure counts plus the first (worst)
-counterexample.  Heavy suites run batched through the same coefficient
-kernels the public API uses; map round trips go through the scalar API.
+counterexample.  Every suite runs batched through the coefficient kernels
+that the scalar public API wraps, and ``check --trials N`` runs N trials in
+each (3 * (N // 3) in the per-level stereographic suite).
 """
 
 from __future__ import annotations
@@ -14,27 +15,20 @@ from typing import Callable
 import numpy as np
 
 from . import entanglement
-from .division_algebra import CYCLES, HyperComplex, conj_coeffs, mul_coeffs
+from .division_algebra import CYCLES, HyperComplex, conj_coeffs, mul_coeffs, row_dot
 from .hopf_maps import (
-    BasePoint,
-    base_coords,
-    h1_value,
-    hopf_base,
-    hopf_inverse,
-    is_infinite,
-    stereographic,
+    base_coords, coords_entanglement, inverse_coeffs, ratio_coeffs, stereographic_coeffs,
 )
 from .qubit_states import (
-    AlgebraPair,
+    CUTS,
     PureState,
     cut_matrix,
     det2,
     format_amplitudes,
     matrix_minors,
     pack_coeffs,
-    unpack,
 )
-from .tolerances import ABS_TOL, IDENTITY_TOL, MAP_CONSISTENCY_TOL
+from .tolerances import ABS_TOL, IDENTITY_TOL, MAP_CONSISTENCY_TOL, STATE_NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,13 @@ def _coeff_counterexample(errors: np.ndarray, *arrays: np.ndarray) -> str:
 def _state_counterexample(errors: np.ndarray, amplitudes: np.ndarray) -> str:
     worst = int(np.argmax(errors))
     return format_amplitudes(amplitudes[worst])
+
+
+def _unit_pair_errors(errors: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Errors that also count the deviation of |o1|^2 + |o2|^2 from 1, and
+    are infinite where it exceeds STATE_NORM_TOL (no state has that pair)."""
+    deviation = np.abs(row_dot(first, first) + row_dot(second, second) - 1.0)
+    return np.where(deviation <= STATE_NORM_TOL, np.maximum(errors, deviation), np.inf)
 
 
 def _result(name, errors, tol, counterexample_fn) -> SuiteResult:
@@ -198,36 +199,36 @@ def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResu
 
 
 def suite_stereographic_h1_consistency(trials: int, rng: np.random.Generator) -> SuiteResult:
+    count = max(trials // 3, 1)
+    per_level = [_random_amplitudes(rng, n, count) for n in (1, 2, 3)]
     errors = []
-    amplitudes = []
-    for n in (1, 2, 3):
-        for amp in _random_amplitudes(rng, n, max(trials // 3, 1)):
-            state = PureState(amp)
-            projected = stereographic(hopf_base(state))
-            ratio = h1_value(state)
-            if is_infinite(projected) or is_infinite(ratio):
-                err = 0.0 if projected is ratio else 1.0
-            else:
-                err = float(np.abs(projected.coeffs - ratio.coeffs).max())
-            errors.append(err)
-            amplitudes.append(amp)
-    errors = np.array(errors)
+    for n, amps in zip((1, 2, 3), per_level):
+        first, second = pack_coeffs(amps)
+        projected, projected_at_infinity = stereographic_coeffs(base_coords(first, second, n))
+        ratio, ratio_at_infinity = ratio_coeffs(first, second, n)
+        errors.append(np.where(
+            projected_at_infinity | ratio_at_infinity,
+            projected_at_infinity != ratio_at_infinity,
+            np.abs(projected - ratio).max(axis=-1),
+        ))
+
+    def counterexample(e: np.ndarray) -> str:
+        level, row = divmod(int(np.argmax(e)), count)
+        return format_amplitudes(per_level[level][row])
+
     return _result(
-        "stereographic_h1_consistency", errors, MAP_CONSISTENCY_TOL,
-        lambda e: format_amplitudes(amplitudes[int(np.argmax(e))]),
+        "stereographic_h1_consistency", np.concatenate(errors), MAP_CONSISTENCY_TOL,
+        counterexample,
     )
 
 
 def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteResult:
     bases = _normalized_rows(rng.standard_normal((trials, 9)))
     fibers = _random_octonions(rng, trials)
-    errors = np.zeros(trials)
-    for k in range(trials):
-        base = BasePoint(bases[k])
-        state = hopf_inverse(base, HyperComplex(3, fibers[k]))
-        errors[k] = np.abs(hopf_base(state).coords - bases[k]).max()
+    first, second = inverse_coeffs(bases, fibers)
+    errors = np.abs(base_coords(first, second, 3) - bases).max(axis=-1)
     return _result(
-        "fibration_round_trip", errors, MAP_CONSISTENCY_TOL,
+        "fibration_round_trip", _unit_pair_errors(errors, first, second), MAP_CONSISTENCY_TOL,
         lambda e: _coeff_counterexample(e, bases, fibers),
     )
 
@@ -235,19 +236,13 @@ def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteRe
 def suite_fiber_invariance(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = _random_amplitudes(rng, 3, trials)
     gauges = _random_octonions(rng, trials)
-    errors = np.zeros(trials)
-    for k in range(trials):
-        y = h1_value(PureState(amps[k]))
-        if is_infinite(y):
-            continue
-        d = HyperComplex(3, gauges[k])
-        first = y * d
-        scale = np.sqrt(first.norm_sq() + d.norm_sq())
-        moved = unpack(AlgebraPair(first / scale, d / scale))
-        y_moved = h1_value(moved)
-        errors[k] = (
-            np.abs(y_moved.coeffs - y.coeffs).max() if not is_infinite(y_moved) else 1.0
-        )
+    y, at_infinity = ratio_coeffs(*pack_coeffs(amps), 3)
+    first = mul_coeffs(y, gauges, 3)
+    scale = np.sqrt(row_dot(first, first) + row_dot(gauges, gauges))[:, None]
+    first, second = first / scale, gauges / scale
+    y_moved, moved_at_infinity = ratio_coeffs(first, second, 3)
+    errors = np.where(moved_at_infinity, 1.0, np.abs(y_moved - y).max(axis=-1))
+    errors = np.where(at_infinity, 0.0, _unit_pair_errors(errors, first, second))
     return _result(
         "fiber_invariance", errors, IDENTITY_TOL,
         lambda e: _state_counterexample(e, amps),
@@ -301,7 +296,7 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
     first, second = pack_coeffs(amps)
     coords = base_coords(first, second, 3)
     middle = np.abs(coords[:, 2:8]).max(axis=-1)
-    e_values = np.sum(coords[:, 2:8] ** 2, axis=-1)
+    e_values = coords_entanglement(coords)
     errors = np.maximum(middle, e_values)
     # 2-qubit analogue: products of single qubits keep X3, X4 at zero.
     pair_amps = np.einsum(
@@ -319,12 +314,11 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
 def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = _random_amplitudes(rng, 3, trials)
     errors = np.zeros(trials)
-    for cut in entanglement.CUTS:
+    # One cut at a time, which keeps this suite's memory at a third of a
+    # batch over all three cuts.
+    for cut in CUTS:
         view = cut_matrix(amps, cut)
-        flat = view.reshape(-1, 8)
-        first, second = pack_coeffs(flat)
-        coords = base_coords(first, second, 3)
-        e_values = np.sum(coords[:, 2:8] ** 2, axis=-1)
+        e_values = coords_entanglement(base_coords(*pack_coeffs(view.reshape(-1, 8)), 3))
         rho = np.einsum("bij,bkj->bik", view, view.conj())
         errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
     return _result(
@@ -337,11 +331,11 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
     amps = _random_amplitudes(rng, 3, trials)
     e_sum = np.zeros(trials)
     minor_sum = np.zeros(trials)
-    for cut in entanglement.CUTS:
+    for cut in CUTS:
         view = cut_matrix(amps, cut)
-        flat = view.reshape(-1, 8)
-        first, second = pack_coeffs(flat)
-        coords = base_coords(first, second, 3)
+        coords = base_coords(*pack_coeffs(view.reshape(-1, 8)), 3)
+        # E from the squared middle coordinates, not coords_entanglement:
+        # its row dot rounds differently and moves this suite's max-error line.
         e_sum += np.sum(coords[:, 2:8] ** 2, axis=-1)
         for minor in matrix_minors(view).T:
             minor_sum += 2.0 * np.abs(minor) ** 2
@@ -397,17 +391,10 @@ SUITES: tuple[tuple[str, Callable[[int, np.random.Generator], SuiteResult]], ...
     ("bloch_ball_containment", suite_bloch_ball_containment),
 )
 
-# Scalar-loop suites are capped so `check --trials 100000` stays fast; the
-# batched suites honor the full count.
-_SCALAR_SUITES = {"stereographic_h1_consistency", "fibration_round_trip", "fiber_invariance"}
-_SCALAR_CAP = 20000
-
 
 def run_all(trials: int, seed: int) -> list[SuiteResult]:
     """Run every suite with independent deterministic substreams."""
     results = []
-    for offset, (name, fn) in enumerate(SUITES):
-        rng = np.random.default_rng([seed, offset])
-        count = min(trials, _SCALAR_CAP) if name in _SCALAR_SUITES else trials
-        results.append(fn(count, rng))
+    for offset, (_, fn) in enumerate(SUITES):
+        results.append(fn(trials, np.random.default_rng([seed, offset])))
     return results

@@ -19,27 +19,29 @@ import numpy as np
 
 from . import checks
 from .entanglement import (
-    CUTS,
     classify,
-    e_avg,
+    cut_entanglement,
     partial_trace_keep,
     separability_2qubit,
 )
 from .errors import ContractViolationError
 from .hopf_maps import (
+    base_coords,
     base_entanglement,
-    h1_value,
     hopf_base,
-    is_infinite,
     iterated_analysis,
+    ratio_coeffs,
 )
 from .qubit_states import (
+    CUTS,
     PureState,
+    cut_matrix,
     cut_state,
     first_qubit_matrix,
     format_amplitudes,
     format_number as _fmt,
     haar_amplitudes,
+    pack_coeffs,
     parse_amplitudes,
 )
 from .tolerances import CLI_NORM_ACCEPT, SEPARABILITY_TOL
@@ -48,6 +50,9 @@ EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CONTRACT_VIOLATION = 3
+
+#: States per block of ``sample``; blocks keep its memory flat in the count.
+SAMPLE_BLOCK = 1024
 
 
 def _fmt_vec(values) -> str:
@@ -78,11 +83,8 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
     return PureState(amps / np.sqrt(norm_sq))
 
 
-def _h1_text(state: PureState) -> str:
-    value = h1_value(state)
-    if is_infinite(value):
-        return "infinity"
-    return _fmt_vec(value.coeffs)
+def _h1_text(value: np.ndarray, at_infinity) -> str:
+    return "infinity" if at_infinity else _fmt_vec(value)
 
 
 def _density_text(matrix: np.ndarray) -> str:
@@ -94,13 +96,13 @@ def _density_text(matrix: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def _analyze_three(state: PureState, tol: float, lines: list[str]) -> None:
-    cut_states = [cut_state(state, cut) for cut in CUTS]
+    first, second = pack_coeffs(cut_matrix(state.amplitudes, CUTS).reshape(3, 8))
     lines.append("base:")
-    for cut, moved in zip(CUTS, cut_states):
-        lines.append(f"  cut {cut}: {_fmt_labeled_coords(hopf_base(moved).coords)}")
+    for cut, coords in zip(CUTS, base_coords(first, second, 3)):
+        lines.append(f"  cut {cut}: {_fmt_labeled_coords(coords)}")
     lines.append("h1:")
-    for cut, moved in zip(CUTS, cut_states):
-        lines.append(f"  cut {cut}: {_h1_text(moved)}")
+    for cut, value, at_infinity in zip(CUTS, *ratio_coeffs(first, second, 3)):
+        lines.append(f"  cut {cut}: {_h1_text(value, at_infinity)}")
     lines.append("density:")
     for cut in CUTS:
         lines.append(f"  cut {cut}: {_density_text(partial_trace_keep(state, cut).matrix)}")
@@ -132,7 +134,7 @@ def _analyze_two(state: PureState, tol: float, lines: list[str]) -> None:
     lines.append("base:")
     lines.append(f"  value: {_fmt_labeled_coords(base.coords)}")
     lines.append("h1:")
-    lines.append(f"  value: {_h1_text(state)}")
+    lines.append(f"  value: {_h1_text(*ratio_coeffs(*pack_coeffs(state.amplitudes), state.n))}")
     m = first_qubit_matrix(state.amplitudes)
     lines.append("density:")
     lines.append(f"  first qubit: {_density_text(m @ m.conj().T)}")
@@ -148,7 +150,7 @@ def _analyze_one(state: PureState, lines: list[str]) -> None:
     lines.append("base:")
     lines.append(f"  value: {_fmt_labeled_coords(base.coords)}")
     lines.append("h1:")
-    lines.append(f"  value: {_h1_text(state)}")
+    lines.append(f"  value: {_h1_text(*ratio_coeffs(*pack_coeffs(state.amplitudes), state.n))}")
     amps = state.amplitudes
     lines.append("density:")
     lines.append(f"  qubit: {_density_text(np.outer(amps, amps.conj()))}")
@@ -209,21 +211,14 @@ def cmd_coords(args: argparse.Namespace) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _sample_e(state: PureState) -> float:
-    if state.n == 3:
-        return e_avg(state)
-    if state.n == 2:
-        return base_entanglement(hopf_base(state))
-    return 0.0
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(args.seed)
     values = np.empty(args.count)
-    for k in range(args.count):
-        values[k] = _sample_e(PureState(haar_amplitudes(rng, args.n)))
+    for start in range(0, args.count, SAMPLE_BLOCK):
+        block = haar_amplitudes(rng, args.n, min(SAMPLE_BLOCK, args.count - start))
+        values[start : start + block.shape[0]] = cut_entanglement(block).mean(axis=-1)
     if args.histogram:
         edges = np.linspace(0.0, 1.0, args.histogram + 1)
         counts, _ = np.histogram(values, bins=edges)

@@ -129,6 +129,12 @@ def conj_coeffs(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis; broadcasts.  A stacked matmul, so each
+    row rounds as the 1-D ``a @ b`` does (``np.sum(a * b, -1)`` does not)."""
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Element type
 # ---------------------------------------------------------------------------
@@ -150,6 +156,8 @@ class HyperComplex:
             raise ContractViolationError(
                 f"level {level} element needs {dim} coefficients, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ContractViolationError(f"coefficients must be finite, got {arr!r}")
         arr.setflags(write=False)
         self._level = level
         self._coeffs = arr
@@ -318,9 +326,9 @@ class PolarForm:
     axis: HyperComplex
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0.0:
+        if not self.magnitude >= 0.0:
             raise ContractViolationError("magnitude must be nonnegative")
-        if abs(self.axis.scalar_part) > ABS_TOL or abs(self.axis.norm() - 1.0) > ABS_TOL:
+        if not (abs(self.axis.scalar_part) <= ABS_TOL and abs(self.axis.norm() - 1.0) <= ABS_TOL):
             raise ContractViolationError("axis must be unit and purely imaginary")
 
     def reconstruct(self) -> HyperComplex:
@@ -329,29 +337,41 @@ class PolarForm:
         return self.magnitude * (c + s)
 
 
-def polar(a: HyperComplex) -> PolarForm:
-    """Polar decomposition of a nonzero element.
+def polar_coeffs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(magnitude, angle, axis) of coefficient arrays; broadcasts.
 
-    angle = atan2(|vector|, scalar) in [0, pi]; axis is the normalized
-    vector part, or i1 when the vector part vanishes.  (arccos(scalar/|a|)
-    loses small angles: it gives 0 for 1 + 1e-9 i1.)
+    angle = atan2(|vector|, scalar) in [0, pi] (arccos(scalar/|a|) gives 0
+    for 1 + 1e-9 i1); axis is the normalized vector part, or i1 where that
+    is at most ABS_TOL * magnitude, so zero gives (0, 0, i1).
     """
-    mag = a.norm()
-    if mag == 0.0:
+    a = np.asarray(a, dtype=float)
+    vector = a.copy()
+    vector[..., 0] = 0.0
+    magnitude = np.sqrt(row_dot(a, a))
+    vnorm = np.sqrt(row_dot(vector, vector))
+    angle = np.arctan2(vnorm, a[..., 0])
+    real = (vnorm <= ABS_TOL * magnitude)[..., None]
+    axis = np.where(real, np.eye(a.shape[-1])[1], vector / np.where(real, 1.0, vnorm[..., None]))
+    return magnitude, angle, axis
+
+
+def polar(a: HyperComplex) -> PolarForm:
+    """Polar decomposition of a nonzero element (see ``polar_coeffs``)."""
+    magnitude, angle, axis = polar_coeffs(a.coeffs)
+    if magnitude == 0.0:
         raise ZeroDivisionError("polar form of zero is undefined")
-    v = a.vector_part()
-    vnorm = v.norm()
-    angle = math.atan2(vnorm, a.scalar_part)
-    if vnorm <= ABS_TOL * mag:
-        axis = HyperComplex.unit(a.level, 1)
-    else:
-        axis = v / vnorm
-    return PolarForm(magnitude=mag, angle=angle, axis=axis)
+    return PolarForm(float(magnitude), float(angle), HyperComplex(a.level, axis))
+
+
+def exp_imaginary_coeffs(axis: np.ndarray, angle) -> np.ndarray:
+    """cos(angle) + axis*sin(angle) of unit pure-imaginary coefficient arrays; broadcasts."""
+    axis = np.asarray(axis, dtype=float)
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return np.cos(angle) * np.eye(axis.shape[-1])[0] + np.sin(angle) * axis
 
 
 def exp_imaginary(axis: HyperComplex, angle: float) -> HyperComplex:
     """cos(angle) + axis*sin(angle) for a unit pure-imaginary axis."""
-    if abs(axis.norm_sq() - 1.0) > AXIS_TOL or abs(axis.scalar_part) > AXIS_TOL:
+    if not (abs(axis.norm_sq() - 1.0) <= AXIS_TOL and abs(axis.scalar_part) <= AXIS_TOL):
         raise ContractViolationError("axis must be unit and purely imaginary")
-    c = math.cos(angle) * HyperComplex.one(axis.level)
-    return c + math.sin(angle) * axis
+    return HyperComplex(axis.level, exp_imaginary_coeffs(axis.coeffs, angle))

@@ -19,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .hopf_maps import BasePoint, base_entanglement, hopf_base
-from .qubit_states import PureState, cut_minors, cut_state, det2, reshape_matrix, split_residual
+from .hopf_maps import BasePoint, base_coords, coords_entanglement
+from .qubit_states import (
+    CUTS, PureState, cut_matrix, cut_minors, det2, pack_coeffs, reshape_matrix, split_residual,
+)
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
 
 #: Normalization of the minor-sum measure, fixed so that it equals the
 #: average of the per-cut E values for every state.
 MINOR_SUM_NORMALIZATION = 2.0 / 3.0
-
-CUTS = (1, 2, 3)
 
 
 class DensityMatrix2:
@@ -92,15 +92,31 @@ def bloch_density(base: BasePoint) -> DensityMatrix2:
 # Measures
 # ---------------------------------------------------------------------------
 
+def cut_entanglement(amplitudes: np.ndarray) -> np.ndarray:
+    """Per-cut E of (..., 2**n) amplitude arrays; broadcasts.  Three qubits
+    give (..., 3) for cuts 1, 2, 3; one and two qubits give (..., 1) for the
+    first qubit (0 for a single qubit, which has no partner)."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = amplitudes.shape[-1].bit_length() - 1
+    if n == 3:
+        moved = cut_matrix(amplitudes, CUTS).reshape(amplitudes.shape[:-1] + (3, 8))
+    else:
+        moved = amplitudes[..., None, :]
+    return coords_entanglement(base_coords(*pack_coeffs(moved), n))
+
+
 def e_hopf(state: PureState, cut: int) -> float:
     """Per-cut entanglement E in [0, 1] of a 3-qubit state."""
-    return base_entanglement(hopf_base(cut_state(state, cut)))
+    if state.n != 3 or cut not in CUTS:
+        raise ContractViolationError(f"e_hopf needs a 3-qubit state and a cut in {CUTS}")
+    return float(cut_entanglement(state.amplitudes)[CUTS.index(cut)])
 
 
 def e_avg(state: PureState) -> float:
     """Mean of e_hopf over the three cuts."""
-    values = [e_hopf(state, cut) for cut in CUTS]
-    return float(np.mean(values))
+    if state.n != 3:
+        raise ContractViolationError("e_avg expects a 3-qubit state")
+    return float(np.mean(cut_entanglement(state.amplitudes)))
 
 
 def minor_measure(state: PureState) -> float:
@@ -174,7 +190,7 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
         label = biseparable(CUTS[passes.index(True)])
     else:
         label = ENTANGLED
-    per_cut = tuple(e_hopf(state, cut) for cut in CUTS)
+    per_cut = tuple(float(e) for e in cut_entanglement(state.amplitudes))
     return EntanglementReport(
         e_per_cut=per_cut,
         e_avg=float(np.mean(per_cut)),

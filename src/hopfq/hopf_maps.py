@@ -22,6 +22,11 @@ The inverse map rebuilds a state from a base point and a unit fiber o:
 with cos(theta) the scalar part of the normalized ratio value, T its
 normalized vector part (i1 when the vector part vanishes), and
 cos(W) = sqrt((1 + X_last)/2).
+
+Each map is written once, as a kernel on coefficient arrays that
+broadcasts over leading axes (``base_coords``, ``ratio_coeffs``,
+``stereographic_coeffs``, ``inverse_coeffs``); the functions on
+``PureState`` and ``BasePoint`` wrap it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ from typing import Union
 
 import numpy as np
 
-from .division_algebra import HyperComplex, conj_coeffs, exp_imaginary, mul_coeffs, polar
+from .division_algebra import (
+    HyperComplex, conj_coeffs, exp_imaginary, exp_imaginary_coeffs, mul_coeffs, polar_coeffs,
+    row_dot,
+)
 from .errors import ContractViolationError, SeparabilityError
 from .qubit_states import (
     AlgebraPair,
@@ -46,7 +54,6 @@ from .qubit_states import (
 from .tolerances import ABS_TOL, AXIS_TOL, INFINITY_NORM_SQ, SEPARABILITY_TOL, UNIT_INPUT_TOL
 
 _DIM_TO_LEVEL = {3: 1, 5: 2, 9: 3}
-_LEVEL_TO_DIM = {1: 3, 2: 5, 3: 9}
 
 
 class BasePoint:
@@ -123,60 +130,76 @@ def hopf_base(state: PureState) -> BasePoint:
     return BasePoint(base_coords(first, second, state.n))
 
 
-def base_entanglement(base: BasePoint) -> float:
-    """Squared norm of the entanglement-sensitive coordinates, in [0, 1].
+def coords_entanglement(coords: np.ndarray) -> np.ndarray:
+    """X_3^2 + ... + X_{last-1}^2 of base coordinates, clipped to [0, 1] (0 on
+    S^2); broadcasts.  It equals 4 det(rho) of the reduced first qubit."""
+    middle = np.asarray(coords)[..., 2:-1]
+    return np.clip(row_dot(middle, middle), 0.0, 1.0)
 
-    This is X_3^2 + ... + X_8^2 on S^8 (X_3^2 + X_4^2 on S^4) and equals
-    4 det(rho) of the reduced first-qubit density matrix.
-    """
-    middle = base.coords[2:-1]
-    return float(min(max(middle @ middle, 0.0), 1.0))
+
+def base_entanglement(base: BasePoint) -> float:
+    """Squared norm of the entanglement-sensitive coordinates, in [0, 1]."""
+    return float(coords_entanglement(base.coords))
+
+
+def _divide_finite(numerator: np.ndarray, denom, at_infinity) -> np.ndarray:
+    """numerator / denom per row, and zeros on the rows at infinity."""
+    finite = ~at_infinity[..., None]
+    return np.divide(numerator, denom[..., None], out=np.zeros(np.shape(numerator)), where=finite)
+
+
+def ratio_coeffs(first: np.ndarray, second: np.ndarray, level: int):
+    """(o1 o2^{-1}, at_infinity) of packed coefficient arrays; broadcasts.  The
+    mask is set where |o2|^2 < INFINITY_NORM_SQ, and the value is 0 there."""
+    norm_sq = row_dot(second, second)
+    at_infinity = norm_sq < INFINITY_NORM_SQ
+    inverse = _divide_finite(conj_coeffs(second), norm_sq, at_infinity)
+    return mul_coeffs(first, inverse, level), at_infinity
 
 
 def h1_value(state: PureState) -> ExtendedValue:
     """Ratio value o1 * o2^{-1} of the packed pair, or INFINITY."""
-    pair = pack(state)
-    if pair.second.norm_sq() < INFINITY_NORM_SQ:
-        return INFINITY
-    return pair.first * pair.second.inverse()
+    value, at_infinity = ratio_coeffs(*pack_coeffs(state.amplitudes), state.n)
+    return INFINITY if at_infinity else HyperComplex(state.n, value)
+
+
+def stereographic_coeffs(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, at_infinity) as in ``ratio_coeffs``, for the algebra values whose
+    inverse stereographic images are the base coordinates; broadcasts."""
+    coords = np.asarray(coords, dtype=float)
+    head, last = coords[..., :-1], coords[..., -1]
+    # Near the pole 1 - X_last keeps only the absolute accuracy of X_last; on
+    # the unit sphere it equals (X_1^2 + ... + X_{last-1}^2) / (1 + X_last),
+    # which keeps the relative accuracy.  Up to X_last = 1/2 the direct form
+    # is as accurate, and it is kept there.  (The maximum keeps the unused
+    # branch from dividing by zero at X_last = -1.)
+    denom = np.where(last > 0.5, row_dot(head, head) / (1.0 + np.maximum(last, 0.5)), 1.0 - last)
+    at_infinity = denom < 2.0 * INFINITY_NORM_SQ
+    flipped = head.copy()
+    flipped[..., 1] *= -1.0
+    return _divide_finite(flipped, denom, at_infinity), at_infinity
 
 
 def stereographic(base: BasePoint) -> ExtendedValue:
     """Algebra value whose inverse stereographic image is the base point."""
-    x = base.coords
-    # Near the pole 1 - X_last keeps only the absolute accuracy of X_last; on
-    # the unit sphere it equals (X_1^2 + ... + X_{last-1}^2) / (1 + X_last),
-    # which keeps the relative accuracy.  Up to X_last = 1/2 the direct form
-    # is as accurate, and it is kept there.
-    head = x[:-1]
-    denom = float(head @ head) / (1.0 + x[-1]) if x[-1] > 0.5 else 1.0 - x[-1]
-    if denom < 2.0 * INFINITY_NORM_SQ:
-        return INFINITY
-    c = head.copy()
-    c[1] = -c[1]
-    return HyperComplex(base.level, c / denom)
+    value, at_infinity = stereographic_coeffs(base.coords)
+    return INFINITY if at_infinity else HyperComplex(base.level, value)
 
 
 def stereographic_inverse(value: ExtendedValue, level: int | None = None) -> BasePoint:
-    """Base point of an algebra value (or of INFINITY, given the level)."""
+    """Base point of an algebra value (or of INFINITY, given the level).
+
+    This is the normalized base point of the pair (value, 1), and of (1, 0)
+    at infinity, so it shares the sign convention of ``base_coords``.
+    """
     if is_infinite(value):
         if level is None:
             raise ContractViolationError("level is required to place infinity")
-        pole = np.zeros(_LEVEL_TO_DIM[level])
-        pole[-1] = 1.0
-        return BasePoint(pole)
-    assert isinstance(value, HyperComplex)
-    y = value.coeffs
-    n2 = float(y @ y)
-    scale = 2.0 / (1.0 + n2)
-    dim = y.shape[0]
-    out = np.empty(dim + 1)
-    out[0] = scale * y[0]
-    out[1] = -scale * y[1]
-    if dim > 2:
-        out[2:dim] = scale * y[2:]
-    out[dim] = (n2 - 1.0) / (n2 + 1.0)
-    return BasePoint(out / np.linalg.norm(out))
+        first, second = HyperComplex.one(level), HyperComplex.zero(level)
+    else:
+        first, second = value, HyperComplex.one(value.level)
+    coords = base_coords(first.coeffs, second.coeffs, first.level)
+    return BasePoint(coords / np.linalg.norm(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +224,34 @@ class FiberChart:
             raise ContractViolationError(f"omega {self.omega!r} outside [0, pi/2]")
         if not -ABS_TOL <= self.theta <= math.pi + ABS_TOL:
             raise ContractViolationError(f"theta {self.theta!r} outside [0, pi]")
-        if abs(self.axis.scalar_part) > AXIS_TOL or abs(self.axis.norm_sq() - 1.0) > AXIS_TOL:
+        axis = self.axis
+        if not (abs(axis.scalar_part) <= AXIS_TOL and abs(axis.norm_sq() - 1.0) <= AXIS_TOL):
             raise ContractViolationError("axis must be unit and purely imaginary")
-        if abs(self.fiber.norm_sq() - 1.0) > UNIT_INPUT_TOL:
+        if not abs(self.fiber.norm_sq() - 1.0) <= UNIT_INPUT_TOL:
             raise ContractViolationError("fiber must be a unit octonion")
 
 
-def _polar_direction(value: HyperComplex) -> tuple[float, HyperComplex]:
-    """(angle, axis) of ``polar(value)``, and (0, i1) for zero."""
-    if value.norm() == 0.0:
-        return 0.0, HyperComplex.unit(3, 1)
-    form = polar(value)
-    return form.angle, form.axis
+def _fiber_pair(cos_w, sin_w, theta, axis: np.ndarray, fiber: np.ndarray):
+    """(cos_w exp(+axis theta/2) fiber, sin_w exp(-axis theta/2) fiber) on
+    coefficient arrays; cos_w and sin_w broadcast against the results."""
+    half = np.asarray(theta) / 2.0
+    first = mul_coeffs(exp_imaginary_coeffs(axis, half), fiber, 3)
+    second = mul_coeffs(exp_imaginary_coeffs(axis, -half), fiber, 3)
+    return cos_w * first, sin_w * second
+
+
+def inverse_coeffs(coords: np.ndarray, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Packed pairs (o1, o2) over S^8 base coordinates, gauged by unit fiber
+    octonions, and (fiber, 0) at the pole; broadcasts."""
+    o = fiber / np.sqrt(row_dot(fiber, fiber))[..., None]
+    value, at_infinity = stereographic_coeffs(coords)
+    _, theta, axis = polar_coeffs(value)
+    last = np.asarray(coords)[..., -1:]
+    cos_w = np.sqrt(np.maximum(0.0, (1.0 + last) / 2.0))
+    sin_w = np.sqrt(np.maximum(0.0, (1.0 - last) / 2.0))
+    first, second = _fiber_pair(cos_w, sin_w, theta, axis, o)
+    pole = at_infinity[..., None]
+    return np.where(pole, o, first), np.where(pole, 0.0, second)
 
 
 def hopf_inverse(base: BasePoint, fiber: HyperComplex) -> PureState:
@@ -221,18 +260,10 @@ def hopf_inverse(base: BasePoint, fiber: HyperComplex) -> PureState:
         raise ContractViolationError("hopf_inverse expects a dim-9 base point")
     if fiber.level != 3:
         raise ContractViolationError("fiber must be an octonion")
-    if abs(fiber.norm_sq() - 1.0) > UNIT_INPUT_TOL:
+    if not abs(fiber.norm_sq() - 1.0) <= UNIT_INPUT_TOL:
         raise ContractViolationError("fiber must be a unit octonion")
-    o = fiber / fiber.norm()
-    value = stereographic(base)
-    if is_infinite(value):
-        return unpack(AlgebraPair(o, HyperComplex.zero(3)))
-    theta, axis = _polar_direction(value)
-    cos_w = math.sqrt(max(0.0, (1.0 + base.coords[-1]) / 2.0))
-    sin_w = math.sqrt(max(0.0, (1.0 - base.coords[-1]) / 2.0))
-    o1 = cos_w * (exp_imaginary(axis, theta / 2.0) * o)
-    o2 = sin_w * (exp_imaginary(axis, -theta / 2.0) * o)
-    return unpack(AlgebraPair(o1, o2))
+    first, second = inverse_coeffs(base.coords, fiber.coeffs)
+    return unpack(AlgebraPair(HyperComplex(3, first), HyperComplex(3, second)))
 
 
 def fiber_chart(state: PureState) -> FiberChart:
@@ -242,19 +273,20 @@ def fiber_chart(state: PureState) -> FiberChart:
     pair = pack(state)
     o1, o2 = pair.first, pair.second
     omega = math.acos(max(-1.0, min(1.0, o1.norm())))
-    if o2.norm_sq() < INFINITY_NORM_SQ:
-        return FiberChart(omega=omega, theta=0.0, axis=HyperComplex.unit(3, 1),
-                          fiber=o1 / o1.norm())
-    theta, axis = _polar_direction(h1_value(state))
-    fiber = exp_imaginary(axis, theta / 2.0) * (o2 / o2.norm())
-    return FiberChart(omega=omega, theta=theta, axis=axis, fiber=fiber)
+    value, at_infinity = ratio_coeffs(o1.coeffs, o2.coeffs, 3)
+    _, theta, axis = polar_coeffs(value)  # (0, i1) at infinity, where the value is 0
+    axis = HyperComplex(3, axis)
+    fiber = o1 / o1.norm() if at_infinity else exp_imaginary(axis, theta / 2.0) * (o2 / o2.norm())
+    return FiberChart(omega=omega, theta=float(theta), axis=axis, fiber=fiber)
 
 
 def state_from_chart(chart: FiberChart) -> PureState:
     """Rebuild the state encoded by a fiber chart."""
-    o1 = math.cos(chart.omega) * (exp_imaginary(chart.axis, chart.theta / 2.0) * chart.fiber)
-    o2 = math.sin(chart.omega) * (exp_imaginary(chart.axis, -chart.theta / 2.0) * chart.fiber)
-    return unpack(AlgebraPair(o1, o2))
+    first, second = _fiber_pair(
+        math.cos(chart.omega), math.sin(chart.omega), chart.theta,
+        chart.axis.coeffs, chart.fiber.coeffs,
+    )
+    return unpack(AlgebraPair(HyperComplex(3, first), HyperComplex(3, second)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .division_algebra import HyperComplex
+from .division_algebra import HyperComplex, row_dot
 from .errors import ContractViolationError, UnsupportedSizeError
 from .tolerances import ABS_TOL, STATE_NORM_TOL, UNIT_INPUT_TOL
 
 QUBIT_COUNTS = (1, 2, 3)
+
+#: The three one-qubit cuts of a 3-qubit state, named by the qubit split off.
+CUTS = (1, 2, 3)
 
 
 class PureState:
@@ -122,7 +125,7 @@ class AlgebraPair:
         if self.first.level != self.second.level:
             raise ContractViolationError("pair members must share a level")
         total = self.first.norm_sq() + self.second.norm_sq()
-        if abs(total - 1.0) > ABS_TOL:
+        if not abs(total - 1.0) <= ABS_TOL:  # also rejects NaN
             raise ContractViolationError(
                 f"pair norms must sum to 1, got {total!r}"
             )
@@ -196,10 +199,14 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
-def haar_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    """One Haar-uniform amplitude vector: normalized i.i.d. complex Gaussians."""
-    z = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return z / np.linalg.norm(z)
+def haar_amplitudes(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:
+    """One Haar-uniform amplitude vector, or ``count`` rows: normalized i.i.d.
+    complex Gaussians.  Row k of a batch equals the k-th one-vector draw."""
+    shape = (2, 2 ** n) if count is None else (count, 2, 2 ** n)
+    normals = rng.standard_normal(shape)
+    z = normals[..., 0, :] + 1j * normals[..., 1, :]
+    # The same sums, in the same order, as the 1-D np.linalg.norm(z).
+    return z / np.sqrt(row_dot(z.real, z.real) + row_dot(z.imag, z.imag))[..., None]
 
 
 def random_state(n: int, seed: int) -> PureState:
@@ -225,11 +232,13 @@ def state_from_bloch(x: float, y: float, z: float) -> PureState:
 
 # Amplitude order that moves the cut qubit to the front, keeping the other
 # two in their original order: cube.transpose(0, 1, 2), (1, 0, 2), (2, 0, 1).
+# The key CUTS stacks all three.
 _CUT_ORDER = {
     1: np.array([0, 1, 2, 3, 4, 5, 6, 7]),
     2: np.array([0, 1, 4, 5, 2, 3, 6, 7]),
     3: np.array([0, 2, 4, 6, 1, 3, 5, 7]),
 }
+_CUT_ORDER[CUTS] = np.stack([_CUT_ORDER[cut] for cut in CUTS])
 
 # Column pairs of the six 2x2 minors of the reshaped matrix, ordered to match
 # the bilinear separability conditions for cut 1:
@@ -249,10 +258,11 @@ def first_qubit_matrix(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.reshape(amplitudes.shape[:-1] + (2, -1))
 
 
-def cut_matrix(amplitudes: np.ndarray, cut: int) -> np.ndarray:
-    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first."""
+def cut_matrix(amplitudes: np.ndarray, cut) -> np.ndarray:
+    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first;
+    ``cut`` = CUTS gives all three cuts as (..., 3, 2, 4)."""
     if cut not in _CUT_ORDER:
-        raise ContractViolationError(f"cut must be 1, 2 or 3, got {cut}")
+        raise ContractViolationError(f"cut must be 1, 2, 3 or {CUTS}, got {cut}")
     return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut], axis=-1))
 
 

@@ -2,8 +2,9 @@
 
 Each test prints a PASS line when its assertions hold (run with -s to see
 them).  Batched loops go through the same coefficient kernels the public
-API wraps (pack_coeffs / base_coords under hopf_base and e_hopf), with
-scalar-API subsamples asserting the wrappers agree.
+API wraps (pack_coeffs / base_coords under hopf_base, and under e_hopf
+through cut_entanglement), with scalar-API subsamples asserting the
+wrappers agree.
 """
 
 import math

@@ -269,3 +269,12 @@ def test_exp_imaginary_unit_norm():
         axis = HyperComplex(3, v / np.linalg.norm(v))
         value = exp_imaginary(axis, rng.uniform(-10, 10))
         assert abs(value.norm_sq() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hypercomplex_rejects_non_finite(level, bad):
+    coeffs = np.zeros(dim_of(level))
+    coeffs[-1] = bad
+    with pytest.raises(ContractViolationError):
+        HyperComplex(level, coeffs)
