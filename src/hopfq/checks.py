@@ -4,7 +4,7 @@ Each suite draws its own deterministic sample, exercises one family of
 identities, and reports trial/failure counts plus the first (worst)
 counterexample.  Every suite runs batched through the coefficient kernels
 that the scalar public API wraps, and ``check --trials N`` runs N trials in
-each (3 * (N // 3) in the per-level stereographic suite).
+each.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .qubit_states import (
     cut_matrix,
     det2,
     format_amplitudes,
+    haar_amplitudes,
     matrix_minors,
     pack_coeffs,
 )
@@ -44,28 +45,14 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _normalized_rows(z: np.ndarray) -> np.ndarray:
+def _random_units(rng: np.random.Generator, count: int, dim: int = 8) -> np.ndarray:
+    """``count`` uniform random unit vectors of R^dim (unit octonions by default)."""
+    z = rng.standard_normal((count, dim))
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def _random_octonions(rng: np.random.Generator, count: int) -> np.ndarray:
-    return _normalized_rows(rng.standard_normal((count, 8)))
-
-
-def _random_amplitudes(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    z = rng.standard_normal((count, 2 ** n)) + 1j * rng.standard_normal((count, 2 ** n))
-    return _normalized_rows(z)
-
-
-def _coeff_counterexample(errors: np.ndarray, *arrays: np.ndarray) -> str:
-    worst = int(np.argmax(errors))
-    parts = [np.array2string(a[worst], separator=", ", precision=17) for a in arrays]
-    return " ; ".join(parts)
-
-
-def _state_counterexample(errors: np.ndarray, amplitudes: np.ndarray) -> str:
-    worst = int(np.argmax(errors))
-    return format_amplitudes(amplitudes[worst])
+def _coeff_text(*rows: np.ndarray) -> str:
+    return " ; ".join(np.array2string(row, separator=", ", precision=17) for row in rows)
 
 
 def _unit_pair_errors(errors: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -75,7 +62,8 @@ def _unit_pair_errors(errors: np.ndarray, first: np.ndarray, second: np.ndarray)
     return np.where(deviation <= STATE_NORM_TOL, np.maximum(errors, deviation), np.inf)
 
 
-def _result(name, errors, tol, counterexample_fn) -> SuiteResult:
+def _result(name, errors, tol, describe_row) -> SuiteResult:
+    """Suite result whose counterexample is ``describe_row(k)`` of the worst row k."""
     errors = np.asarray(errors, dtype=float)
     failures = int(np.count_nonzero(errors > tol))
     return SuiteResult(
@@ -83,8 +71,30 @@ def _result(name, errors, tol, counterexample_fn) -> SuiteResult:
         trials=int(errors.shape[0]),
         failures=failures,
         max_error=float(errors.max()) if errors.size else 0.0,
-        counterexample=counterexample_fn(errors) if failures else None,
+        counterexample=describe_row(int(np.argmax(errors))) if failures else None,
     )
+
+
+def _per_level(name, trials, tol, draw, errors_of, describe) -> SuiteResult:
+    """A suite whose trials are split evenly over the levels 1, 2, 3.
+
+    ``draw(level, count)`` returns a tuple of input arrays with ``count`` rows,
+    ``errors_of(level, *inputs)`` their errors, and the counterexample is
+    ``describe(*row)`` of the worst row's own inputs.
+    """
+    inputs, errors = [], []
+    for level in (1, 2, 3):
+        count = (trials + 3 - level) // 3  # the first trials % 3 levels take one more
+        inputs.append(draw(level, count))
+        errors.append(errors_of(level, *inputs[-1]))
+
+    def counterexample(worst: int) -> str:
+        for level_inputs, level_errors in zip(inputs, errors):
+            if worst < level_errors.size:
+                return describe(*(a[worst] for a in level_inputs))
+            worst -= level_errors.size
+
+    return _result(name, np.concatenate(errors), tol, counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +128,21 @@ def suite_algebra_cycle_table(trials: int, rng: np.random.Generator) -> SuiteRes
 
 
 def suite_norm_multiplicativity(trials: int, rng: np.random.Generator) -> SuiteResult:
-    errors = np.zeros(trials)
-    inputs = np.zeros((trials, 16))
-    per_level = np.array_split(np.arange(trials), 3)
-    for level, idx in zip((1, 2, 3), per_level):
-        if idx.size == 0:
-            continue
-        dim = 2 ** level
-        a = _normalized_rows(rng.standard_normal((idx.size, dim)))
-        b = _normalized_rows(rng.standard_normal((idx.size, dim)))
+    def draw(level, count):
+        return _random_units(rng, count, 2 ** level), _random_units(rng, count, 2 ** level)
+
+    def errors(level, a, b):
         prod = mul_coeffs(a, b, level)
-        errors[idx] = np.abs(np.sum(prod * prod, axis=-1) - 1.0)
-        inputs[idx, :dim] = a
-        inputs[idx, 8 : 8 + dim] = b
-    return _result(
-        "algebra_norm_multiplicativity", errors, IDENTITY_TOL,
-        lambda e: _coeff_counterexample(e, inputs),
+        return np.abs(np.sum(prod * prod, axis=-1) - 1.0)
+
+    return _per_level(
+        "algebra_norm_multiplicativity", trials, IDENTITY_TOL, draw, errors, _coeff_text
     )
 
 
 def suite_alternativity(trials: int, rng: np.random.Generator) -> SuiteResult:
-    a = _random_octonions(rng, trials)
-    b = _random_octonions(rng, trials)
+    a = _random_units(rng, trials)
+    b = _random_units(rng, trials)
     aa = mul_coeffs(a, a, 3)
     ab = mul_coeffs(a, b, 3)
     ba = mul_coeffs(b, a, 3)
@@ -149,30 +152,30 @@ def suite_alternativity(trials: int, rng: np.random.Generator) -> SuiteResult:
     errors = np.maximum(np.maximum(left, mid), right)
     return _result(
         "algebra_alternativity", errors, ABS_TOL,
-        lambda e: _coeff_counterexample(e, a, b),
+        lambda k: _coeff_text(a[k], b[k]),
     )
 
 
 def suite_conj_anti_automorphism(trials: int, rng: np.random.Generator) -> SuiteResult:
-    a = _random_octonions(rng, trials)
-    b = _random_octonions(rng, trials)
+    a = _random_units(rng, trials)
+    b = _random_units(rng, trials)
     lhs = conj_coeffs(mul_coeffs(a, b, 3))
     rhs = mul_coeffs(conj_coeffs(b), conj_coeffs(a), 3)
     errors = np.abs(lhs - rhs).max(axis=-1)
     return _result(
         "algebra_conj_anti_automorphism", errors, ABS_TOL,
-        lambda e: _coeff_counterexample(e, a, b),
+        lambda k: _coeff_text(a[k], b[k]),
     )
 
 
 def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteResult:
-    x = _random_octonions(rng, trials)
-    y = _random_octonions(rng, trials)
+    x = _random_units(rng, trials)
+    y = _random_units(rng, trials)
     # y is unit, so y^-1 = y*.
     errors = np.abs(mul_coeffs(mul_coeffs(x, y, 3), conj_coeffs(y), 3) - x).max(axis=-1)
     return _result(
         "algebra_inverse_cancellation", errors, ABS_TOL,
-        lambda e: _coeff_counterexample(e, x, y),
+        lambda k: _coeff_text(x[k], y[k]),
     )
 
 
@@ -181,61 +184,47 @@ def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteRe
 # ---------------------------------------------------------------------------
 
 def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResult:
-    errors = np.zeros(trials)
-    amps_record = np.zeros((trials, 8), dtype=complex)
-    per_level = np.array_split(np.arange(trials), 3)
-    for n, idx in zip((1, 2, 3), per_level):
-        if idx.size == 0:
-            continue
-        amps = _random_amplitudes(rng, n, idx.size)
-        first, second = pack_coeffs(amps)
-        coords = base_coords(first, second, n)
-        errors[idx] = np.abs(np.sum(coords * coords, axis=-1) - 1.0)
-        amps_record[idx, : 2 ** n] = amps
-    return _result(
-        "base_normalization", errors, ABS_TOL,
-        lambda e: _state_counterexample(e, amps_record),
+    def errors(n, amps):
+        coords = base_coords(*pack_coeffs(amps), n)
+        return np.abs(np.sum(coords * coords, axis=-1) - 1.0)
+
+    return _per_level(
+        "base_normalization", trials, ABS_TOL,
+        lambda n, count: (haar_amplitudes(rng, n, count),), errors, format_amplitudes,
     )
 
 
 def suite_stereographic_h1_consistency(trials: int, rng: np.random.Generator) -> SuiteResult:
-    count = max(trials // 3, 1)
-    per_level = [_random_amplitudes(rng, n, count) for n in (1, 2, 3)]
-    errors = []
-    for n, amps in zip((1, 2, 3), per_level):
+    def errors(n, amps):
         first, second = pack_coeffs(amps)
         projected, projected_at_infinity = stereographic_coeffs(base_coords(first, second, n))
         ratio, ratio_at_infinity = ratio_coeffs(first, second, n)
-        errors.append(np.where(
+        return np.where(
             projected_at_infinity | ratio_at_infinity,
             projected_at_infinity != ratio_at_infinity,
             np.abs(projected - ratio).max(axis=-1),
-        ))
+        )
 
-    def counterexample(e: np.ndarray) -> str:
-        level, row = divmod(int(np.argmax(e)), count)
-        return format_amplitudes(per_level[level][row])
-
-    return _result(
-        "stereographic_h1_consistency", np.concatenate(errors), MAP_CONSISTENCY_TOL,
-        counterexample,
+    return _per_level(
+        "stereographic_h1_consistency", trials, MAP_CONSISTENCY_TOL,
+        lambda n, count: (haar_amplitudes(rng, n, count),), errors, format_amplitudes,
     )
 
 
 def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteResult:
-    bases = _normalized_rows(rng.standard_normal((trials, 9)))
-    fibers = _random_octonions(rng, trials)
+    bases = _random_units(rng, trials, 9)
+    fibers = _random_units(rng, trials)
     first, second = inverse_coeffs(bases, fibers)
     errors = np.abs(base_coords(first, second, 3) - bases).max(axis=-1)
     return _result(
         "fibration_round_trip", _unit_pair_errors(errors, first, second), MAP_CONSISTENCY_TOL,
-        lambda e: _coeff_counterexample(e, bases, fibers),
+        lambda k: _coeff_text(bases[k], fibers[k]),
     )
 
 
 def suite_fiber_invariance(trials: int, rng: np.random.Generator) -> SuiteResult:
-    amps = _random_amplitudes(rng, 3, trials)
-    gauges = _random_octonions(rng, trials)
+    amps = haar_amplitudes(rng, 3, trials)
+    gauges = _random_units(rng, trials)
     y, at_infinity = ratio_coeffs(*pack_coeffs(amps), 3)
     first = mul_coeffs(y, gauges, 3)
     scale = np.sqrt(row_dot(first, first) + row_dot(gauges, gauges))[:, None]
@@ -245,49 +234,37 @@ def suite_fiber_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
     errors = np.where(at_infinity, 0.0, _unit_pair_errors(errors, first, second))
     return _result(
         "fiber_invariance", errors, IDENTITY_TOL,
-        lambda e: _state_counterexample(e, amps),
+        lambda k: format_amplitudes(amps[k]),
     )
 
 
 def suite_gauge_invariance(trials: int, rng: np.random.Generator) -> SuiteResult:
-    """Phase-invariant base content: the full Bloch vector at n = 1, and the
-    (X_1, X_2, X_last) Bloch slots plus the entanglement norm at n = 2, 3.
+    """Phase-invariant base content: the (X_1, X_2, X_last) Bloch slots (the
+    whole base point at n = 1) and the entanglement norm E.
 
     The remaining coordinates rotate pairwise under a global phase (the
     phase acts by left multiplication, the fiber by right), so only their
     squared norm is invariant.
     """
-    errors = np.zeros(trials)
-    amps_record = np.zeros((trials, 8), dtype=complex)
-    per_level = np.array_split(np.arange(trials), 3)
-    for n, idx in zip((1, 2, 3), per_level):
-        if idx.size == 0:
-            continue
-        amps = _random_amplitudes(rng, n, idx.size)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, idx.size))
+    def draw(n, count):
+        return haar_amplitudes(rng, n, count), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+    def errors(n, amps, phases):
         coords = base_coords(*pack_coeffs(amps), n)
         rotated = base_coords(*pack_coeffs(amps * phases[:, None]), n)
-        if n == 1:
-            err = np.abs(rotated - coords).max(axis=-1)
-        else:
-            bloch = np.abs(rotated[:, [0, 1, -1]] - coords[:, [0, 1, -1]]).max(axis=-1)
-            e_delta = np.abs(
-                np.sum(rotated[:, 2:-1] ** 2, axis=-1)
-                - np.sum(coords[:, 2:-1] ** 2, axis=-1)
-            )
-            err = np.maximum(bloch, e_delta)
-        errors[idx] = err
-        amps_record[idx, : 2 ** n] = amps
-    return _result(
-        "gauge_invariance", errors, ABS_TOL,
-        lambda e: _state_counterexample(e, amps_record),
+        bloch = np.abs(rotated[:, [0, 1, -1]] - coords[:, [0, 1, -1]]).max(axis=-1)
+        return np.maximum(bloch, np.abs(coords_entanglement(rotated) - coords_entanglement(coords)))
+
+    return _per_level(
+        "gauge_invariance", trials, ABS_TOL, draw, errors,
+        lambda amps, _: format_amplitudes(amps),
     )
 
 
 def _random_products(rng: np.random.Generator, trials: int) -> np.ndarray:
     """Haar-random single qubits tensored with Haar-random 2-qubit states."""
-    one = _random_amplitudes(rng, 1, trials)
-    two = _random_amplitudes(rng, 2, trials)
+    one = haar_amplitudes(rng, 1, trials)
+    two = haar_amplitudes(rng, 2, trials)
     return np.einsum("bi,bj->bij", one, two).reshape(trials, 8)
 
 
@@ -300,19 +277,19 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
     errors = np.maximum(middle, e_values)
     # 2-qubit analogue: products of single qubits keep X3, X4 at zero.
     pair_amps = np.einsum(
-        "bi,bj->bij", _random_amplitudes(rng, 1, trials), _random_amplitudes(rng, 1, trials)
+        "bi,bj->bij", haar_amplitudes(rng, 1, trials), haar_amplitudes(rng, 1, trials)
     ).reshape(trials, 4)
     qfirst, qsecond = pack_coeffs(pair_amps)
     qcoords = base_coords(qfirst, qsecond, 2)
     errors = np.maximum(errors, np.abs(qcoords[:, 2:4]).max(axis=-1))
     return _result(
         "separability_sensitivity", errors, IDENTITY_TOL,
-        lambda e: _state_counterexample(e, amps),
+        lambda k: format_amplitudes(amps[k]),
     )
 
 
 def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResult:
-    amps = _random_amplitudes(rng, 3, trials)
+    amps = haar_amplitudes(rng, 3, trials)
     errors = np.zeros(trials)
     # One cut at a time, which keeps this suite's memory at a third of a
     # batch over all three cuts.
@@ -323,20 +300,17 @@ def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResu
         errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
     return _result(
         "e_equals_4_det_rho", errors, IDENTITY_TOL,
-        lambda e: _state_counterexample(e, amps),
+        lambda k: format_amplitudes(amps[k]),
     )
 
 
 def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> SuiteResult:
-    amps = _random_amplitudes(rng, 3, trials)
+    amps = haar_amplitudes(rng, 3, trials)
     e_sum = np.zeros(trials)
     minor_sum = np.zeros(trials)
     for cut in CUTS:
         view = cut_matrix(amps, cut)
-        coords = base_coords(*pack_coeffs(view.reshape(-1, 8)), 3)
-        # E from the squared middle coordinates, not coords_entanglement:
-        # its row dot rounds differently and moves this suite's max-error line.
-        e_sum += np.sum(coords[:, 2:8] ** 2, axis=-1)
+        e_sum += coords_entanglement(base_coords(*pack_coeffs(view.reshape(-1, 8)), 3))
         for minor in matrix_minors(view).T:
             minor_sum += 2.0 * np.abs(minor) ** 2
     # The normalization constant is looked up at call time on purpose: the
@@ -350,12 +324,12 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
         )
     return _result(
         "minor_measure_equals_e_avg", errors, IDENTITY_TOL,
-        lambda e: _state_counterexample(e, amps),
+        lambda k: format_amplitudes(amps[k]),
     )
 
 
 def suite_bloch_ball_containment(trials: int, rng: np.random.Generator) -> SuiteResult:
-    amps = _random_amplitudes(rng, 3, trials)
+    amps = haar_amplitudes(rng, 3, trials)
     first, second = pack_coeffs(amps)
     coords = base_coords(first, second, 3)
     radius_sq = coords[:, 0] ** 2 + coords[:, 1] ** 2 + coords[:, 8] ** 2
@@ -370,7 +344,7 @@ def suite_bloch_ball_containment(trials: int, rng: np.random.Generator) -> Suite
     errors = np.maximum(errors, np.where(boundary > IDENTITY_TOL, boundary, 0.0))
     return _result(
         "bloch_ball_containment", errors, ABS_TOL,
-        lambda e: _state_counterexample(e, amps),
+        lambda k: format_amplitudes(amps[k]),
     )
 
 

@@ -18,16 +18,11 @@ import sys
 import numpy as np
 
 from . import checks
-from .entanglement import (
-    classify,
-    cut_entanglement,
-    partial_trace_keep,
-    separability_2qubit,
-)
+from .entanglement import classify, cut_entanglement, separability_2qubit
 from .errors import ContractViolationError
 from .hopf_maps import (
     base_coords,
-    base_entanglement,
+    coords_entanglement,
     hopf_base,
     iterated_analysis,
     ratio_coeffs,
@@ -83,29 +78,11 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
     return PureState(amps / np.sqrt(norm_sq))
 
 
-def _h1_text(value: np.ndarray, at_infinity) -> str:
-    return "infinity" if at_infinity else _fmt_vec(value)
-
-
-def _density_text(matrix: np.ndarray) -> str:
-    return _fmt_complex_vec(matrix.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 def _analyze_three(state: PureState, tol: float, lines: list[str]) -> None:
-    first, second = pack_coeffs(cut_matrix(state.amplitudes, CUTS).reshape(3, 8))
-    lines.append("base:")
-    for cut, coords in zip(CUTS, base_coords(first, second, 3)):
-        lines.append(f"  cut {cut}: {_fmt_labeled_coords(coords)}")
-    lines.append("h1:")
-    for cut, value, at_infinity in zip(CUTS, *ratio_coeffs(first, second, 3)):
-        lines.append(f"  cut {cut}: {_h1_text(value, at_infinity)}")
-    lines.append("density:")
-    for cut in CUTS:
-        lines.append(f"  cut {cut}: {_density_text(partial_trace_keep(state, cut).matrix)}")
     report = classify(state, tol)
     lines.append("entanglement:")
     for cut, e in zip(CUTS, report.e_per_cut):
@@ -129,34 +106,17 @@ def _analyze_three(state: PureState, tol: float, lines: list[str]) -> None:
         lines.append("  bloch points: none")
 
 
-def _analyze_two(state: PureState, tol: float, lines: list[str]) -> None:
-    base = hopf_base(state)
-    lines.append("base:")
-    lines.append(f"  value: {_fmt_labeled_coords(base.coords)}")
-    lines.append("h1:")
-    lines.append(f"  value: {_h1_text(*ratio_coeffs(*pack_coeffs(state.amplitudes), state.n))}")
-    m = first_qubit_matrix(state.amplitudes)
-    lines.append("density:")
-    lines.append(f"  first qubit: {_density_text(m @ m.conj().T)}")
+def _analyze_two(state: PureState, coords: np.ndarray, tol: float, lines: list[str]) -> None:
     residual = separability_2qubit(state)
     lines.append("entanglement:")
-    lines.append(f"  e: {_fmt(base_entanglement(base))}")
+    lines.append(f"  e: {_fmt(float(coords_entanglement(coords)))}")
     lines.append(f"  residual: {_fmt(residual)}")
     lines.append(f"  separable: {'yes' if residual <= tol else 'no'}")
 
 
-def _analyze_one(state: PureState, lines: list[str]) -> None:
-    base = hopf_base(state)
-    lines.append("base:")
-    lines.append(f"  value: {_fmt_labeled_coords(base.coords)}")
-    lines.append("h1:")
-    lines.append(f"  value: {_h1_text(*ratio_coeffs(*pack_coeffs(state.amplitudes), state.n))}")
-    amps = state.amplitudes
-    lines.append("density:")
-    lines.append(f"  qubit: {_density_text(np.outer(amps, amps.conj()))}")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol!r}")
     state = _load_state(args.state, args.renormalize)
     lines = [
         "input:",
@@ -164,12 +124,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"  n: {state.n}",
         f"  amplitudes: {format_amplitudes(state.amplitudes)}",
     ]
+    # One first-qubit matrix per section row: each cut of a 3-qubit state,
+    # the whole state of 1 or 2 qubits.
+    if state.n == 3:
+        matrices = cut_matrix(state.amplitudes, CUTS)
+        keys = density_keys = [f"cut {cut}" for cut in CUTS]
+    else:
+        matrices = first_qubit_matrix(state.amplitudes)[None]
+        keys, density_keys = ["value"], ["first qubit" if state.n == 2 else "qubit"]
+    first, second = pack_coeffs(matrices.reshape(len(keys), -1))
+    coords = base_coords(first, second, state.n)
+    lines.append("base:")
+    lines += [f"  {key}: {_fmt_labeled_coords(c)}" for key, c in zip(keys, coords)]
+    lines.append("h1:")
+    lines += [
+        f"  {key}: {'infinity' if at_infinity else _fmt_vec(value)}"
+        for key, value, at_infinity in zip(keys, *ratio_coeffs(first, second, state.n))
+    ]
+    lines.append("density:")
+    densities = matrices @ matrices.conj().swapaxes(-1, -2)
+    lines += [
+        f"  {key}: {_fmt_complex_vec(rho.reshape(-1))}" for key, rho in zip(density_keys, densities)
+    ]
     if state.n == 3:
         _analyze_three(state, args.tol, lines)
     elif state.n == 2:
-        _analyze_two(state, args.tol, lines)
-    else:
-        _analyze_one(state, lines)
+        _analyze_two(state, coords[0], args.tol, lines)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -214,6 +194,8 @@ def cmd_coords(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError("count must be at least 1")
+    if args.histogram < 0:
+        raise ValueError("--histogram must be at least 0")
     rng = np.random.default_rng(args.seed)
     values = np.empty(args.count)
     for start in range(0, args.count, SAMPLE_BLOCK):

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ContractViolationError
 from .hopf_maps import BasePoint, base_coords, coords_entanglement
 from .qubit_states import (
-    CUTS, PureState, cut_matrix, cut_minors, det2, pack_coeffs, reshape_matrix, split_residual,
+    CUTS, PureState, cut_matrix, cut_minors, det2, matrix_minors, pack_coeffs, reshape_matrix,
+    split_residual,
 )
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
 
@@ -127,14 +128,14 @@ def minor_measure(state: PureState) -> float:
     counted twice) and over the three cuts, scaled by
     MINOR_SUM_NORMALIZATION.
     """
-    return _minor_sum([cut_minors(state, cut) for cut in CUTS])
+    if state.n != 3:
+        raise ContractViolationError("minor_measure expects a 3-qubit state")
+    return _minor_sum(matrix_minors(cut_matrix(state.amplitudes, CUTS)))
 
 
-def _minor_sum(minors_per_cut) -> float:
-    total = 0.0
-    for minors in minors_per_cut:
-        total += 2.0 * float(np.sum(np.abs(minors) ** 2))
-    return MINOR_SUM_NORMALIZATION * total
+def _minor_sum(minors: np.ndarray) -> float:
+    """The measure from the (3, 6) minors of the three cuts, summed per cut first."""
+    return MINOR_SUM_NORMALIZATION * float(np.sum(2.0 * np.sum(np.abs(minors) ** 2, axis=-1)))
 
 
 def separability_conditions(state: PureState, cut: int) -> np.ndarray:
@@ -181,8 +182,8 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
     """
     if state.n != 3:
         raise ContractViolationError("classify expects a 3-qubit state")
-    minors = [cut_minors(state, cut) for cut in CUTS]
-    residuals = tuple(tuple(float(r) for r in np.abs(m)) for m in minors)
+    minors = matrix_minors(cut_matrix(state.amplitudes, CUTS))
+    residuals = tuple(tuple(float(r) for r in row) for row in np.abs(minors))
     passes = [max(res) <= tol for res in residuals]
     if all(passes):
         label = FULLY_SEPARABLE

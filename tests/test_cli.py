@@ -11,7 +11,7 @@ import pytest
 import hopfq.entanglement
 from hopfq.cli import main
 from hopfq.entanglement import e_avg
-from hopfq.qubit_states import PureState, format_number
+from hopfq.qubit_states import PureState, format_number, haar_amplitudes
 
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_STATE = "1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0"
@@ -88,6 +88,15 @@ def test_analyze_single_qubit(capsys):
     assert code == 0
     assert "  value: X1=0 X2=0 X3=1\n" in out
     assert "  value: infinity\n" in out
+
+
+def test_analyze_one_qubit_density_diagonal_is_real(capsys):
+    for amps in haar_amplitudes(np.random.default_rng(8), 1, 40):
+        spec = " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in amps)
+        code, out, _ = run(capsys, ["analyze", spec])
+        assert code == 0
+        entries = re.search(r"^  qubit: (.+)$", out, re.MULTILINE).group(1).split()
+        assert [entries[0].split(",")[1], entries[3].split(",")[1]] == ["0", "0"]
 
 
 def test_analyze_numbers_reproducible(capsys):
@@ -184,6 +193,21 @@ def test_non_finite_input_rejected(capsys, argv):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "|000>", "--tol", "nan"],
+        ["analyze", "|000>", "--tol", "-1"],
+        ["analyze", "ghz", "--tol", "inf"],
+    ],
+)
+def test_bad_tol_rejected(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_renormalize_flag(capsys):
     code, out, _ = run(capsys, ["analyze", "2,0 0,0", "--renormalize"])
     assert code == 0
@@ -235,6 +259,13 @@ def test_sample_histogram(capsys):
     assert lines[0] == "bin_lo,bin_hi,count"
     counts = [int(line.split(",")[2]) for line in lines[1:]]
     assert sum(counts) == 300 and len(counts) == 10
+
+
+def test_sample_negative_histogram_rejected(capsys):
+    code, out, err = run(capsys, ["sample", "3", "10", "--histogram", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--histogram" in err
 
 
 def test_sample_two_qubit(capsys):
