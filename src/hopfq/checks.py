@@ -4,7 +4,7 @@ Each suite draws its own deterministic sample, exercises one family of
 identities, and reports trial/failure counts plus the first (worst)
 counterexample.  Every suite runs batched through the coefficient kernels
 that the scalar public API wraps, and ``check --trials N`` runs N trials in
-each.
+each but ``algebra_cycle_table``, which always checks its 49 products.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import checks
-from .entanglement import classify, cut_entanglement, separability_2qubit
+from .entanglement import classify_cuts, cut_entanglement, separability_2qubit
 from .errors import ContractViolationError
 from .hopf_maps import (
     base_coords,
@@ -30,12 +30,12 @@ from .hopf_maps import (
 from .qubit_states import (
     CUTS,
     PureState,
-    cut_matrix,
+    cut_stack,
     cut_state,
-    first_qubit_matrix,
     format_amplitudes,
     format_number as _fmt,
     haar_amplitudes,
+    matrix_minors,
     pack_coeffs,
     parse_amplitudes,
 )
@@ -82,8 +82,8 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_three(state: PureState, tol: float, lines: list[str]) -> None:
-    report = classify(state, tol)
+def _analyze_three(state: PureState, matrices, coords, tol: float, lines: list[str]) -> None:
+    report = classify_cuts(matrix_minors(matrices), coords_entanglement(coords), tol)
     lines.append("entanglement:")
     for cut, e in zip(CUTS, report.e_per_cut):
         lines.append(f"  e cut {cut}: {_fmt(e)}")
@@ -124,13 +124,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"  n: {state.n}",
         f"  amplitudes: {format_amplitudes(state.amplitudes)}",
     ]
-    # One first-qubit matrix per section row: each cut of a 3-qubit state,
-    # the whole state of 1 or 2 qubits.
+    # Every section, and the classification, reads this one stack.
+    matrices = cut_stack(state.amplitudes)
     if state.n == 3:
-        matrices = cut_matrix(state.amplitudes, CUTS)
         keys = density_keys = [f"cut {cut}" for cut in CUTS]
     else:
-        matrices = first_qubit_matrix(state.amplitudes)[None]
         keys, density_keys = ["value"], ["first qubit" if state.n == 2 else "qubit"]
     first, second = pack_coeffs(matrices.reshape(len(keys), -1))
     coords = base_coords(first, second, state.n)
@@ -147,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"  {key}: {_fmt_complex_vec(rho.reshape(-1))}" for key, rho in zip(density_keys, densities)
     ]
     if state.n == 3:
-        _analyze_three(state, args.tol, lines)
+        _analyze_three(state, matrices, coords, args.tol, lines)
     elif state.n == 2:
         _analyze_two(state, coords[0], args.tol, lines)
     print("\n".join(lines))

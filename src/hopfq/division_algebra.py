@@ -105,8 +105,6 @@ def _build_tensor(level: int) -> np.ndarray:
     return m
 
 _MUL_TENSOR = {level: _build_tensor(level) for level in LEVELS}
-# Flattened copies for the fast scalar path: (dim*dim, dim).
-_MUL_MATRIX = {level: t.reshape(-1, t.shape[-1]) for level, t in _MUL_TENSOR.items()}
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
@@ -115,10 +113,6 @@ def mul_coeffs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
     Both arguments must have trailing dimension 2**level.  This is the
     batch-friendly kernel behind HyperComplex.__mul__.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.outer(a, b).reshape(-1) @ _MUL_MATRIX[level]
     return np.einsum("...i,...j,ijk->...k", a, b, _MUL_TENSOR[level])
 
 

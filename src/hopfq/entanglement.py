@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .hopf_maps import BasePoint, base_coords, coords_entanglement
 from .qubit_states import (
-    CUTS, PureState, cut_matrix, cut_minors, det2, matrix_minors, pack_coeffs, reshape_matrix,
+    CUTS, PureState, cut_minors, cut_stack, det2, matrix_minors, pack_coeffs, reshape_matrix,
     split_residual,
 )
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
@@ -40,12 +40,12 @@ class DensityMatrix2:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ContractViolationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > ABS_TOL:
+        if not np.abs(m - m.conj().T).max() <= ABS_TOL:  # also rejects NaN
             raise ContractViolationError("matrix is not Hermitian")
-        if abs(m[0, 0] + m[1, 1] - 1.0) > ABS_TOL:
+        if not abs(m[0, 0] + m[1, 1] - 1.0) <= ABS_TOL:
             raise ContractViolationError("matrix trace must be 1")
         det = det2(m).real
-        if det < -ABS_TOL:
+        if not det >= -ABS_TOL:
             raise ContractViolationError(f"matrix determinant {det!r} is negative")
         m.setflags(write=False)
         self._matrix = m
@@ -99,11 +99,9 @@ def cut_entanglement(amplitudes: np.ndarray) -> np.ndarray:
     first qubit (0 for a single qubit, which has no partner)."""
     amplitudes = np.asarray(amplitudes, dtype=complex)
     n = amplitudes.shape[-1].bit_length() - 1
-    if n == 3:
-        moved = cut_matrix(amplitudes, CUTS).reshape(amplitudes.shape[:-1] + (3, 8))
-    else:
-        moved = amplitudes[..., None, :]
-    return coords_entanglement(base_coords(*pack_coeffs(moved), n))
+    stack = cut_stack(amplitudes)
+    first, second = pack_coeffs(stack.reshape(stack.shape[:-2] + (-1,)))
+    return coords_entanglement(base_coords(first, second, n))
 
 
 def e_hopf(state: PureState, cut: int) -> float:
@@ -130,7 +128,7 @@ def minor_measure(state: PureState) -> float:
     """
     if state.n != 3:
         raise ContractViolationError("minor_measure expects a 3-qubit state")
-    return _minor_sum(matrix_minors(cut_matrix(state.amplitudes, CUTS)))
+    return _minor_sum(matrix_minors(cut_stack(state.amplitudes)))
 
 
 def _minor_sum(minors: np.ndarray) -> float:
@@ -182,7 +180,13 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
     """
     if state.n != 3:
         raise ContractViolationError("classify expects a 3-qubit state")
-    minors = matrix_minors(cut_matrix(state.amplitudes, CUTS))
+    minors = matrix_minors(cut_stack(state.amplitudes))
+    return classify_cuts(minors, cut_entanglement(state.amplitudes), tol)
+
+
+def classify_cuts(minors, e_per_cut, tol: float = SEPARABILITY_TOL) -> EntanglementReport:
+    """``classify`` from the (3, 6) minors and the three E values of the cut
+    stack, for callers that already hold them."""
     residuals = tuple(tuple(float(r) for r in row) for row in np.abs(minors))
     passes = [max(res) <= tol for res in residuals]
     if all(passes):
@@ -191,7 +195,7 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
         label = biseparable(CUTS[passes.index(True)])
     else:
         label = ENTANGLED
-    per_cut = tuple(float(e) for e in cut_entanglement(state.amplitudes))
+    per_cut = tuple(float(e) for e in e_per_cut)
     return EntanglementReport(
         e_per_cut=per_cut,
         e_avg=float(np.mean(per_cut)),

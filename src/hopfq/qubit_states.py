@@ -219,7 +219,7 @@ def random_state(n: int, seed: int) -> PureState:
 def state_from_bloch(x: float, y: float, z: float) -> PureState:
     """Single-qubit state with the given Bloch vector (unit length)."""
     r = math.sqrt(x * x + y * y + z * z)
-    if abs(r - 1.0) > UNIT_INPUT_TOL:
+    if not abs(r - 1.0) <= UNIT_INPUT_TOL:  # also rejects NaN
         raise ContractViolationError(f"Bloch vector must be unit length, |v| = {r!r}")
     theta = math.acos(max(-1.0, min(1.0, z / r)))
     phi = math.atan2(y, x)
@@ -264,6 +264,14 @@ def cut_matrix(amplitudes: np.ndarray, cut) -> np.ndarray:
     if cut not in _CUT_ORDER:
         raise ContractViolationError(f"cut must be 1, 2, 3 or {CUTS}, got {cut}")
     return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut], axis=-1))
+
+
+def cut_stack(amplitudes: np.ndarray) -> np.ndarray:
+    """(..., c, 2, 2**(n-1)) first-qubit matrices of (..., 2**n) amplitudes:
+    the three cuts of 3 qubits (c = 3), the state itself for 1 or 2 (c = 1)."""
+    if amplitudes.shape[-1] == 8:
+        return cut_matrix(amplitudes, CUTS)
+    return first_qubit_matrix(amplitudes)[..., None, :, :]
 
 
 def matrix_minors(matrix: np.ndarray) -> np.ndarray:

@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+import hopfq.cli
 import hopfq.entanglement
+import hopfq.hopf_maps
 from hopfq.cli import main
 from hopfq.entanglement import e_avg
-from hopfq.qubit_states import PureState, format_number, haar_amplitudes
+from hopfq.qubit_states import PureState, format_number, haar_amplitudes, pack_coeffs
 
 SQ2 = 1.0 / math.sqrt(2.0)
 ZERO_STATE = "1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0"
@@ -42,6 +44,22 @@ def test_analyze_w_document(capsys):
     assert code == 0
     assert "  e avg: 0.888888888889\n" in out
     assert "  classification: entangled\n" in out
+
+
+def test_analyze_packs_the_cut_stack_once(capsys, monkeypatch):
+    """The base, h1 and density sections and the classification read one
+    packing of the three cuts; the chain's first stage packs the state."""
+    shapes = []
+
+    def recording(amplitudes):
+        shapes.append(np.shape(amplitudes))
+        return pack_coeffs(amplitudes)
+
+    for module in (hopfq.cli, hopfq.entanglement, hopfq.hopf_maps):
+        monkeypatch.setattr(module, "pack_coeffs", recording)
+    code, _, _ = run(capsys, ["analyze", "w"])
+    assert code == 0
+    assert shapes == [(3, 8), (8,)]
 
 
 def test_analyze_byte_stability(capsys):

@@ -64,6 +64,16 @@ def test_density_matrix_validation():
         DensityMatrix2([[1.5, 0.0], [0.0, -0.5]])  # negative determinant
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[math.nan, 0.0], [0.0, 1.0]], [[0.5, math.nan], [math.nan, 0.5]],
+     [[0.5, 0.0], [0.0, complex(math.nan, 0.0)]]],
+)
+def test_density_matrix_rejects_nan(matrix):
+    with pytest.raises(ContractViolationError):
+        DensityMatrix2(matrix)
+
+
 def test_partial_trace_basis():
     rho = partial_trace_keep(PureState.basis("000"), 1)
     assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))

@@ -4,7 +4,9 @@ The rows are Haar-random, plus rows near the pole (|o2|^2 = 1e-8, 1e-12,
 1e-14), at the pole (|o2|^2 below INFINITY_NORM_SQ, where the kernel sets
 its mask and the wrapper returns INFINITY) and with a real ratio value
 (vector part 0 or 1e-9).  Every formula is checked on a batch of 500 rows
-and on single-row batches, row by row with ==, not a tolerance.
+and on single-row batches, row by row with ==, not a tolerance.  The same
+holds for the cut stack and the classification core that ``analyze`` feeds
+from it.
 """
 
 import math
@@ -20,7 +22,7 @@ from hopfq.division_algebra import (
     polar,
     polar_coeffs,
 )
-from hopfq.entanglement import classify, cut_entanglement, e_avg, e_hopf
+from hopfq.entanglement import classify, classify_cuts, cut_entanglement, e_avg, e_hopf
 from hopfq.hopf_maps import (
     BasePoint,
     _fiber_pair,
@@ -37,7 +39,17 @@ from hopfq.hopf_maps import (
     stereographic,
     stereographic_coeffs,
 )
-from hopfq.qubit_states import PureState, haar_amplitudes, pack_coeffs, unpack_coeffs
+from hopfq.qubit_states import (
+    CUTS,
+    PureState,
+    cut_matrix,
+    cut_stack,
+    first_qubit_matrix,
+    haar_amplitudes,
+    matrix_minors,
+    pack_coeffs,
+    unpack_coeffs,
+)
 
 ROWS = 500
 NEAR_POLE = (1e-8, 1e-12, 1e-14)
@@ -202,3 +214,54 @@ def test_haar_rows_continue_the_per_state_stream(size, n):
     for row in rows:
         assert np.array_equal(haar_amplitudes(single, n), row)
     assert rows.shape == (size, 2 ** n)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_mul_coeffs_rows_equal_the_single_products(level):
+    """One einsum serves single elements and batches, and rounds each row of
+    a batch as it rounds that row alone (zero and real factors included)."""
+    a, b = np.random.default_rng(100 + level).standard_normal((2, ROWS, 2 ** level))
+    a[0] = b[1] = 0.0
+    a[2, 1:] = b[3, 1:] = a[4, 1:] = b[4, 1:] = 0.0
+    products = mul_coeffs(a, b, level)
+    for k in range(ROWS):
+        assert np.array_equal(mul_coeffs(a[k], b[k], level), products[k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cut_stack_is_the_cut_matrices_or_the_state(n):
+    rows = amplitude_rows(n, 110 + n)
+    stack = cut_stack(rows)
+    assert stack.shape == (ROWS, 3 if n == 3 else 1, 2, 2 ** (n - 1))
+    for amps, matrices in zip(rows, stack):
+        want = cut_matrix(amps, CUTS) if n == 3 else first_qubit_matrix(amps)[None]
+        assert np.array_equal(cut_stack(amps), want)
+        assert np.array_equal(matrices, want)
+
+
+def classify_rows() -> np.ndarray:
+    """3-qubit rows for every label: Haar and pole rows, products, and states
+    biseparable across each cut."""
+    rng = np.random.default_rng(120)
+    singles = haar_amplitudes(rng, 1, 90).reshape(3, 30, 2)
+    products = np.einsum("ka,kb,kc->kabc", *singles).reshape(-1, 8)
+    pairs = haar_amplitudes(rng, 2, 30).reshape(-1, 2, 2)
+    biseparable = [
+        np.moveaxis(np.einsum("ka,kbc->kabc", singles[0], pairs), 1, cut).reshape(-1, 8)
+        for cut in CUTS
+    ]
+    return np.concatenate([amplitude_rows(3, 121), products, *biseparable])
+
+
+def test_classify_core_from_the_cut_stack_equals_classify():
+    labels = set()
+    for amps in classify_rows():
+        stack = cut_stack(amps)
+        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)), 3)
+        report = classify_cuts(matrix_minors(stack), coords_entanglement(coords))
+        assert report == classify(PureState(amps))
+        labels.add(report.classification)
+    assert labels == {
+        "entangled", "fully-separable", "biseparable(cut 1)", "biseparable(cut 2)",
+        "biseparable(cut 3)",
+    }

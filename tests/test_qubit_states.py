@@ -306,6 +306,12 @@ def test_state_from_bloch_poles():
     assert np.allclose(plus.amplitudes, [SQ2, SQ2])
 
 
+@pytest.mark.parametrize("vector", [(0.0, 0.0, math.nan), (math.nan, 0.0, 0.0), (0.0, math.nan, 1.0)])
+def test_state_from_bloch_rejects_nan(vector):
+    with pytest.raises(ContractViolationError):
+        state_from_bloch(*vector)
+
+
 def test_state_from_bloch_round_trip():
     rng = np.random.default_rng(73)
     for _ in range(200):
