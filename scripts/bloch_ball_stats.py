@@ -16,14 +16,13 @@ import argparse
 import numpy as np
 
 from hopfq.entanglement import cut_entanglement
-from hopfq.hopf_maps import base_coords
-from hopfq.qubit_states import haar_amplitudes, pack_coeffs
+from hopfq.hopf_maps import bloch_slots, state_coords
+from hopfq.qubit_states import haar_amplitudes, tensor_amplitudes
 
 
 def ball_radius(amplitudes):
     """Radius of the (X1, X2, X9) Bloch point of each row of 3-qubit amplitudes."""
-    coords = base_coords(*pack_coeffs(amplitudes), 3)
-    return np.sqrt(coords[:, 0] ** 2 + coords[:, 1] ** 2 + coords[:, 8] ** 2)
+    return np.sqrt(np.sum(bloch_slots(state_coords(amplitudes)) ** 2, -1))
 
 
 def main() -> int:
@@ -42,7 +41,7 @@ def main() -> int:
 
     products = args.samples // 10
     one, two = haar_amplitudes(rng, 1, products), haar_amplitudes(rng, 2, products)
-    product_radii = ball_radius((one[:, :, None] * two[:, None, :]).reshape(products, 8))
+    product_radii = ball_radius(tensor_amplitudes(one, two))
 
     print(f"samples: {args.samples} (generic), {product_radii.shape[0]} (product)")
     print(f"max |E - (1 - r^2)| over samples: {shell_residual.max():.3e}")

@@ -17,7 +17,8 @@ import numpy as np
 from . import entanglement
 from .division_algebra import CYCLES, HyperComplex, conj_coeffs, mul_coeffs, row_dot
 from .hopf_maps import (
-    base_coords, coords_entanglement, inverse_coeffs, ratio_coeffs, stereographic_coeffs,
+    base_coords, bloch_slots, coords_entanglement, inverse_coeffs, ratio_coeffs, state_coords,
+    stereographic_coeffs,
 )
 from .qubit_states import (
     CUTS,
@@ -28,6 +29,7 @@ from .qubit_states import (
     haar_amplitudes,
     matrix_minors,
     pack_coeffs,
+    tensor_amplitudes,
 )
 from .tolerances import ABS_TOL, IDENTITY_TOL, MAP_CONSISTENCY_TOL, STATE_NORM_TOL
 
@@ -103,24 +105,22 @@ def _per_level(name, trials, tol, draw, errors_of, describe) -> SuiteResult:
 
 def suite_algebra_cycle_table(trials: int, rng: np.random.Generator) -> SuiteResult:
     """All 42 signed unit products implied by the seven cycles, plus squares."""
-    failures = []
-    count = 0
+    eye = np.eye(8)
+    table = mul_coeffs(eye[:, None], eye[None], 3)  # table[l, r] = i_l i_r
+    expected = {}  # (l, r) -> (k, sign) for i_l i_r = sign i_k, in reporting order
     for a, b, c in CYCLES:
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            for left, right, sign in ((i, j, 1.0), (j, i, -1.0)):
-                count += 1
-                got = HyperComplex.unit(3, left) * HyperComplex.unit(3, right)
-                want = sign * HyperComplex.unit(3, k)
-                if np.abs(got.coeffs - want.coeffs).max() != 0.0:
-                    failures.append(f"i{left}*i{right} gave {got}")
+            expected[i, j], expected[j, i] = (k, 1.0), (k, -1.0)
     for m in range(1, 8):
-        count += 1
-        sq = HyperComplex.unit(3, m) * HyperComplex.unit(3, m)
-        if np.abs(sq.coeffs - (-HyperComplex.one(3)).coeffs).max() != 0.0:
-            failures.append(f"i{m}^2 gave {sq}")
+        expected[m, m] = (0, -1.0)
+    failures = []
+    for (left, right), (k, sign) in expected.items():
+        if not np.array_equal(table[left, right], sign * eye[k]):
+            name = f"i{left}^2" if left == right else f"i{left}*i{right}"
+            failures.append(f"{name} gave {HyperComplex(3, table[left, right])}")
     return SuiteResult(
         name="algebra_cycle_table",
-        trials=count,
+        trials=len(expected),
         failures=len(failures),
         max_error=0.0 if not failures else 1.0,
         counterexample=failures[0] if failures else None,
@@ -185,7 +185,7 @@ def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteRe
 
 def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResult:
     def errors(n, amps):
-        coords = base_coords(*pack_coeffs(amps), n)
+        coords = state_coords(amps)
         return np.abs(np.sum(coords * coords, axis=-1) - 1.0)
 
     return _per_level(
@@ -250,9 +250,9 @@ def suite_gauge_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
         return haar_amplitudes(rng, n, count), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
 
     def errors(n, amps, phases):
-        coords = base_coords(*pack_coeffs(amps), n)
-        rotated = base_coords(*pack_coeffs(amps * phases[:, None]), n)
-        bloch = np.abs(rotated[:, [0, 1, -1]] - coords[:, [0, 1, -1]]).max(axis=-1)
+        coords = state_coords(amps)
+        rotated = state_coords(amps * phases[:, None])
+        bloch = np.abs(bloch_slots(rotated) - bloch_slots(coords)).max(axis=-1)
         return np.maximum(bloch, np.abs(coords_entanglement(rotated) - coords_entanglement(coords)))
 
     return _per_level(
@@ -264,23 +264,18 @@ def suite_gauge_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
 def _random_products(rng: np.random.Generator, trials: int) -> np.ndarray:
     """Haar-random single qubits tensored with Haar-random 2-qubit states."""
     one = haar_amplitudes(rng, 1, trials)
-    two = haar_amplitudes(rng, 2, trials)
-    return np.einsum("bi,bj->bij", one, two).reshape(trials, 8)
+    return tensor_amplitudes(one, haar_amplitudes(rng, 2, trials))
 
 
 def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = _random_products(rng, trials)
-    first, second = pack_coeffs(amps)
-    coords = base_coords(first, second, 3)
+    coords = state_coords(amps)
     middle = np.abs(coords[:, 2:8]).max(axis=-1)
     e_values = coords_entanglement(coords)
     errors = np.maximum(middle, e_values)
     # 2-qubit analogue: products of single qubits keep X3, X4 at zero.
-    pair_amps = np.einsum(
-        "bi,bj->bij", haar_amplitudes(rng, 1, trials), haar_amplitudes(rng, 1, trials)
-    ).reshape(trials, 4)
-    qfirst, qsecond = pack_coeffs(pair_amps)
-    qcoords = base_coords(qfirst, qsecond, 2)
+    one = haar_amplitudes(rng, 1, trials)
+    qcoords = state_coords(tensor_amplitudes(one, haar_amplitudes(rng, 1, trials)))
     errors = np.maximum(errors, np.abs(qcoords[:, 2:4]).max(axis=-1))
     return _result(
         "separability_sensitivity", errors, IDENTITY_TOL,
@@ -295,7 +290,7 @@ def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResu
     # batch over all three cuts.
     for cut in CUTS:
         view = cut_matrix(amps, cut)
-        e_values = coords_entanglement(base_coords(*pack_coeffs(view.reshape(-1, 8)), 3))
+        e_values = coords_entanglement(state_coords(view.reshape(-1, 8)))
         rho = np.einsum("bij,bkj->bik", view, view.conj())
         errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
     return _result(
@@ -307,15 +302,15 @@ def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResu
 def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
     e_sum = np.zeros(trials)
-    minor_sum = np.zeros(trials)
+    measure = np.zeros(trials)
+    # One cut at a time, which keeps the memory as low as in e_equals_4_det_rho.
+    # minor_sum reads the normalization constant at call time: the suite is
+    # the canary for a miscalibrated constant.
     for cut in CUTS:
         view = cut_matrix(amps, cut)
-        e_sum += coords_entanglement(base_coords(*pack_coeffs(view.reshape(-1, 8)), 3))
-        for minor in matrix_minors(view).T:
-            minor_sum += 2.0 * np.abs(minor) ** 2
-    # The normalization constant is looked up at call time on purpose: the
-    # suite is the canary for a miscalibrated constant.
-    errors = np.abs(entanglement.MINOR_SUM_NORMALIZATION * minor_sum - e_sum / 3.0)
+        e_sum += coords_entanglement(state_coords(view.reshape(-1, 8)))
+        measure += entanglement.minor_sum(matrix_minors(view)[:, None])
+    errors = np.abs(measure - e_sum / 3.0)
     for k in range(min(trials, 100)):
         state = PureState(amps[k])
         errors[k] = max(
@@ -330,17 +325,11 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
 
 def suite_bloch_ball_containment(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
-    first, second = pack_coeffs(amps)
-    coords = base_coords(first, second, 3)
-    radius_sq = coords[:, 0] ** 2 + coords[:, 1] ** 2 + coords[:, 8] ** 2
+    radius_sq = np.sum(bloch_slots(state_coords(amps)) ** 2, -1)
     errors = np.maximum(radius_sq - 1.0, 0.0)
     # Separable states must sit on the boundary sphere.
-    product_amps = _random_products(rng, trials)
-    pfirst, psecond = pack_coeffs(product_amps)
-    pcoords = base_coords(pfirst, psecond, 3)
-    boundary = np.abs(
-        pcoords[:, 0] ** 2 + pcoords[:, 1] ** 2 + pcoords[:, 8] ** 2 - 1.0
-    )
+    product_sq = np.sum(bloch_slots(state_coords(_random_products(rng, trials))) ** 2, -1)
+    boundary = np.abs(product_sq - 1.0)
     errors = np.maximum(errors, np.where(boundary > IDENTITY_TOL, boundary, 0.0))
     return _result(
         "bloch_ball_containment", errors, ABS_TOL,

@@ -54,10 +54,6 @@ def _fmt_vec(values) -> str:
     return " ".join(_fmt(float(v)) for v in values)
 
 
-def _fmt_complex_vec(values) -> str:
-    return " ".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in values)
-
-
 def _fmt_labeled_coords(coords) -> str:
     return " ".join(f"X{i + 1}={_fmt(float(v))}" for i, v in enumerate(coords))
 
@@ -142,7 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lines.append("density:")
     densities = matrices @ matrices.conj().swapaxes(-1, -2)
     lines += [
-        f"  {key}: {_fmt_complex_vec(rho.reshape(-1))}" for key, rho in zip(density_keys, densities)
+        f"  {key}: {format_amplitudes(rho.ravel())}" for key, rho in zip(density_keys, densities)
     ]
     if state.n == 3:
         _analyze_three(state, matrices, coords, args.tol, lines)

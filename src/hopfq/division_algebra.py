@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .tolerances import ABS_TOL, AXIS_TOL
+from .tolerances import ABS_TOL, AXIS_TOL, DISPLAY_ZERO_TOL
 
 LEVELS = (1, 2, 3)
 
@@ -276,7 +276,7 @@ class HyperComplex:
         names = ["1"] + [f"i{m}" for m in range(1, self._coeffs.shape[0])]
         parts = []
         for c, name in zip(self._coeffs, names):
-            if abs(c) > 1e-14:
+            if abs(c) > DISPLAY_ZERO_TOL:
                 term = f"{c:g}" if name == "1" else f"{c:g}*{name}"
                 parts.append(term)
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
@@ -337,16 +337,20 @@ def polar_coeffs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     angle = atan2(|vector|, scalar) in [0, pi] (arccos(scalar/|a|) gives 0
     for 1 + 1e-9 i1); axis is the normalized vector part, or i1 where that
     is at most ABS_TOL * magnitude, so zero gives (0, 0, i1).
+    Rows are scaled exactly, by the power of two of their largest
+    |coefficient|, before squaring, so tiny rows do not underflow.
     """
     a = np.asarray(a, dtype=float)
-    vector = a.copy()
+    _, exponent = np.frexp(np.max(np.abs(a), axis=-1))
+    scaled = np.ldexp(a, -exponent[..., None])
+    vector = scaled.copy()
     vector[..., 0] = 0.0
-    magnitude = np.sqrt(row_dot(a, a))
+    magnitude = np.sqrt(row_dot(scaled, scaled))
     vnorm = np.sqrt(row_dot(vector, vector))
-    angle = np.arctan2(vnorm, a[..., 0])
+    angle = np.arctan2(vnorm, scaled[..., 0])
     real = (vnorm <= ABS_TOL * magnitude)[..., None]
     axis = np.where(real, np.eye(a.shape[-1])[1], vector / np.where(real, 1.0, vnorm[..., None]))
-    return magnitude, angle, axis
+    return np.ldexp(magnitude, exponent), angle, axis
 
 
 def polar(a: HyperComplex) -> PolarForm:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .hopf_maps import BasePoint, base_coords, coords_entanglement
+from .hopf_maps import BasePoint, bloch_slots, coords_entanglement, state_coords
 from .qubit_states import (
-    CUTS, PureState, cut_minors, cut_stack, det2, matrix_minors, pack_coeffs, reshape_matrix,
-    split_residual,
+    CUTS, PureState, cut_minors, cut_stack, det2, matrix_minors, reshape_matrix, split_residual,
 )
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
 
@@ -82,8 +81,7 @@ def bloch_density(base: BasePoint) -> DensityMatrix2:
     Uses (X_1, X_2, X_last); for a base point computed from a state this
     equals the partial trace keeping the packed-first qubit.
     """
-    x, y = base.coords[0], base.coords[1]
-    z = base.coords[-1]
+    x, y, z = bloch_slots(base.coords)
     return DensityMatrix2(
         0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
     )
@@ -97,11 +95,8 @@ def cut_entanglement(amplitudes: np.ndarray) -> np.ndarray:
     """Per-cut E of (..., 2**n) amplitude arrays; broadcasts.  Three qubits
     give (..., 3) for cuts 1, 2, 3; one and two qubits give (..., 1) for the
     first qubit (0 for a single qubit, which has no partner)."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = amplitudes.shape[-1].bit_length() - 1
-    stack = cut_stack(amplitudes)
-    first, second = pack_coeffs(stack.reshape(stack.shape[:-2] + (-1,)))
-    return coords_entanglement(base_coords(first, second, n))
+    stack = cut_stack(np.asarray(amplitudes, dtype=complex))
+    return coords_entanglement(state_coords(stack.reshape(stack.shape[:-2] + (-1,))))
 
 
 def e_hopf(state: PureState, cut: int) -> float:
@@ -128,12 +123,13 @@ def minor_measure(state: PureState) -> float:
     """
     if state.n != 3:
         raise ContractViolationError("minor_measure expects a 3-qubit state")
-    return _minor_sum(matrix_minors(cut_stack(state.amplitudes)))
+    return float(minor_sum(matrix_minors(cut_stack(state.amplitudes))))
 
 
-def _minor_sum(minors: np.ndarray) -> float:
-    """The measure from the (3, 6) minors of the three cuts, summed per cut first."""
-    return MINOR_SUM_NORMALIZATION * float(np.sum(2.0 * np.sum(np.abs(minors) ** 2, axis=-1)))
+def minor_sum(minors: np.ndarray) -> np.ndarray:
+    """The measure from (..., c, 6) minors of c cuts, summed per cut first;
+    broadcasts over the leading axes."""
+    return MINOR_SUM_NORMALIZATION * np.sum(2.0 * np.sum(np.abs(minors) ** 2, axis=-1), axis=-1)
 
 
 def separability_conditions(state: PureState, cut: int) -> np.ndarray:
@@ -199,7 +195,7 @@ def classify_cuts(minors, e_per_cut, tol: float = SEPARABILITY_TOL) -> Entanglem
     return EntanglementReport(
         e_per_cut=per_cut,
         e_avg=float(np.mean(per_cut)),
-        minor_measure=_minor_sum(minors),
+        minor_measure=float(minor_sum(minors)),
         classification=label,
         residuals_per_cut=residuals,
     )

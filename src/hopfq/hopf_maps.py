@@ -124,10 +124,20 @@ def base_coords(first: np.ndarray, second: np.ndarray, level: int) -> np.ndarray
     return out
 
 
+def state_coords(amplitudes: np.ndarray) -> np.ndarray:
+    """Base coordinates of (..., 2**n) amplitude arrays, for any n; broadcasts."""
+    first, second = pack_coeffs(amplitudes)
+    return base_coords(first, second, first.shape[-1].bit_length() - 1)
+
+
+def bloch_slots(coords: np.ndarray) -> np.ndarray:
+    """(X_1, X_2, X_last), the first qubit's Bloch vector, of base coordinates; broadcasts."""
+    return np.asarray(coords)[..., [0, 1, -1]]
+
+
 def hopf_base(state: PureState) -> BasePoint:
     """Base point of the fibration matching the state's qubit count."""
-    first, second = pack_coeffs(state.amplitudes)
-    return BasePoint(base_coords(first, second, state.n))
+    return BasePoint(state_coords(state.amplitudes))
 
 
 def coords_entanglement(coords: np.ndarray) -> np.ndarray:
@@ -312,7 +322,7 @@ def _extract_factor(matrix: np.ndarray) -> PureState:
 
 def _split_first_qubit(state: PureState, base: BasePoint) -> tuple[BasePoint, PureState]:
     """Bloch point and factor of a 2- or 3-qubit state whose first qubit separates."""
-    bloch = base.coords[[0, 1, -1]]
+    bloch = bloch_slots(base.coords)
     factor = _extract_factor(first_qubit_matrix(state.amplitudes))
     return BasePoint(bloch / np.linalg.norm(bloch)), factor
 

@@ -196,7 +196,14 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product in basis-label concatenation order."""
     if a.n + b.n > 3:
         raise UnsupportedSizeError(f"tensor product would have {a.n + b.n} qubits")
-    return PureState(np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    return PureState(tensor_amplitudes(a.amplitudes, b.amplitudes))
+
+
+def tensor_amplitudes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor products of amplitude arrays, in basis-label concatenation order;
+    broadcasts over leading axes, and each row rounds as ``np.outer``."""
+    product = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    return product.reshape(product.shape[:-2] + (-1,))
 
 
 def haar_amplitudes(rng: np.random.Generator, n: int, count: int | None = None) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Numeric tolerance and convention constants used across the package.
 
 All defaults assume unit-scale data (normalized states, unit octonions).
-They are plain module constants so that calling code and diagnostics can
-override or inspect them.
+They are read-only: every module, and every default argument, binds its
+value at import, so assigning to a name here changes nothing.
 """
 
 # Generic absolute tolerance for algebraic identities on unit-scale values.
@@ -39,3 +39,6 @@ MAP_CONSISTENCY_TOL = 1e-9
 # unless renormalization is requested; smaller deviations are treated as
 # decimal-representation roundoff and scaled to exact unit norm.
 CLI_NORM_ACCEPT = 1e-6
+
+# HyperComplex text omits coefficients of at most this magnitude.
+DISPLAY_ZERO_TOL = 1e-14

@@ -15,6 +15,7 @@ from hopfq.division_algebra import HyperComplex, mul_coeffs
 from hopfq.entanglement import FULLY_SEPARABLE, classify
 from hopfq.hopf_maps import (
     fiber_chart, h1_value, hopf_base, hopf_inverse, is_infinite, state_from_chart, stereographic,
+    stereographic_inverse,
 )
 from hopfq.qubit_states import PureState, haar_amplitudes, unpack_coeffs
 from hopfq.tolerances import MAP_CONSISTENCY_TOL, SEPARABILITY_TOL
@@ -85,3 +86,15 @@ def test_hopf_inverse_round_trips_on_the_real_axis(scalar, negative, vector, alo
     assert np.abs(hopf_base(rebuilt).coords - base.coords).max() <= MAP_CONSISTENCY_TOL
     charted = state_from_chart(fiber_chart(state))
     assert np.abs(charted.amplitudes - state.amplitudes).max() <= MAP_CONSISTENCY_TOL
+
+
+@pytest.mark.parametrize("log_eps", np.arange(-162.0, -153.5))
+def test_hopf_inverse_round_trips_next_to_the_south_pole(log_eps):
+    """Ratio values of norm eps: |eps|^2 underflows, the inverse map must not."""
+    rng = np.random.default_rng(int(-log_eps))
+    for direction, fiber in zip(unit_rows(rng, 10), unit_rows(rng, 10)):
+        direction[0] = 0.0
+        value = 10.0 ** log_eps * direction / np.linalg.norm(direction)
+        base = stereographic_inverse(HyperComplex(3, value))
+        rebuilt = hopf_inverse(base, HyperComplex(3, fiber))
+        assert np.abs(hopf_base(rebuilt).coords - base.coords).max() <= MAP_CONSISTENCY_TOL

@@ -1,12 +1,14 @@
 """The self-test suites themselves pass and report sensibly."""
 
 import numpy as np
+import pytest
 
 import hopfq.checks
 import hopfq.entanglement
 from hopfq.checks import (
     SUITES,
     run_all,
+    suite_algebra_cycle_table,
     suite_base_normalization,
     suite_fibration_round_trip,
     suite_minor_measure_equals_e_avg,
@@ -77,12 +79,33 @@ def test_round_trip_suite_fails_a_pair_off_the_unit_sphere(monkeypatch):
 def test_per_level_counterexample_is_the_worst_rows_own_state(monkeypatch):
     # Only the one-qubit base points are off the sphere, so the counterexample
     # is a one-qubit state: two amplitudes, not a padded row of eight.
-    base_coords = hopfq.checks.base_coords
+    state_coords = hopfq.checks.state_coords
 
-    def off_sphere_at_level_1(first, second, level):
-        return (1.0 + 1e-6 * (level == 1)) * base_coords(first, second, level)
+    def off_sphere_at_level_1(amplitudes):
+        return (1.0 + 1e-6 * (amplitudes.shape[-1] == 2)) * state_coords(amplitudes)
 
-    monkeypatch.setattr(hopfq.checks, "base_coords", off_sphere_at_level_1)
+    monkeypatch.setattr(hopfq.checks, "state_coords", off_sphere_at_level_1)
     result = suite_base_normalization(30, np.random.default_rng(3))
     assert result.failures == 10
     assert len(result.counterexample.split()) == 2
+
+
+@pytest.mark.parametrize("flips, text", [
+    ([(2, 4)], "i2*i4 gave -1*i6"),  # i2 i4 = i6 from the cycle (246)
+    ([(5, 5)], "i5^2 gave 1"),
+    # Failures are reported cycle by cycle, squares last, not in table order.
+    ([(1, 1), (7, 4)], "i7*i4 gave 1*i1"),
+])
+def test_cycle_table_suite_reports_a_flipped_unit_product(monkeypatch, flips, text):
+    mul_coeffs = hopfq.checks.mul_coeffs
+
+    def flipped(a, b, level):
+        table = mul_coeffs(a, b, level)
+        for left, right in flips:
+            table[left, right] *= -1.0
+        return table
+
+    monkeypatch.setattr(hopfq.checks, "mul_coeffs", flipped)
+    result = suite_algebra_cycle_table(0, np.random.default_rng(0))
+    assert (result.trials, result.failures, result.max_error) == (49, len(flips), 1.0)
+    assert result.counterexample == text

@@ -55,7 +55,7 @@ def test_analyze_packs_the_cut_stack_once(capsys, monkeypatch):
         shapes.append(np.shape(amplitudes))
         return pack_coeffs(amplitudes)
 
-    for module in (hopfq.cli, hopfq.entanglement, hopfq.hopf_maps):
+    for module in (hopfq.cli, hopfq.hopf_maps):
         monkeypatch.setattr(module, "pack_coeffs", recording)
     code, _, _ = run(capsys, ["analyze", "w"])
     assert code == 0

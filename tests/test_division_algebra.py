@@ -16,6 +16,7 @@ from hopfq.division_algebra import (
     inverse,
     mul,
     polar,
+    polar_coeffs,
     scalar_part,
     vector_part,
 )
@@ -241,6 +242,18 @@ def test_polar_round_trip_near_real_axis(scalar, tiny):
     a = HyperComplex(3, [scalar, tiny, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     form = polar(a)
     assert coeffs_close(form.reconstruct(), a, tol=1e-15)
+
+
+@pytest.mark.parametrize("eps", [1e-320, 1e-310, 1e-300, 1e-250, 1e-200, 1e-162, 1e-160, 1e-155])
+def test_polar_of_a_tiny_imaginary_element(eps):
+    """Squaring coefficients this small underflows; the polar form must not."""
+    for u in np.random.default_rng(7).standard_normal((20, 8)):
+        u[0] = 0.0
+        coeffs = eps * (u / np.linalg.norm(u))
+        magnitude, angle, axis = polar_coeffs(coeffs)
+        assert magnitude == pytest.approx(math.hypot(*coeffs), rel=1e-15)
+        assert angle == math.pi / 2.0
+        assert abs(math.sqrt(axis @ axis) - 1.0) <= 1e-15
 
 
 def test_polar_of_zero_raises():

@@ -6,7 +6,8 @@ its mask and the wrapper returns INFINITY) and with a real ratio value
 (vector part 0 or 1e-9).  Every formula is checked on a batch of 500 rows
 and on single-row batches, row by row with ==, not a tolerance.  The same
 holds for the cut stack and the classification core that ``analyze`` feeds
-from it.
+from it, and for the state kernels of base coordinates, tensor products
+and the minor-sum measure.
 """
 
 import math
@@ -22,7 +23,9 @@ from hopfq.division_algebra import (
     polar,
     polar_coeffs,
 )
-from hopfq.entanglement import classify, classify_cuts, cut_entanglement, e_avg, e_hopf
+from hopfq.entanglement import (
+    classify, classify_cuts, cut_entanglement, e_avg, e_hopf, minor_measure, minor_sum,
+)
 from hopfq.hopf_maps import (
     BasePoint,
     _fiber_pair,
@@ -31,10 +34,12 @@ from hopfq.hopf_maps import (
     coords_entanglement,
     fiber_chart,
     h1_value,
+    hopf_base,
     hopf_inverse,
     inverse_coeffs,
     is_infinite,
     ratio_coeffs,
+    state_coords,
     state_from_chart,
     stereographic,
     stereographic_coeffs,
@@ -48,6 +53,8 @@ from hopfq.qubit_states import (
     haar_amplitudes,
     matrix_minors,
     pack_coeffs,
+    tensor,
+    tensor_amplitudes,
     unpack_coeffs,
 )
 
@@ -265,3 +272,29 @@ def test_classify_core_from_the_cut_stack_equals_classify():
         "entangled", "fully-separable", "biseparable(cut 1)", "biseparable(cut 2)",
         "biseparable(cut 3)",
     }
+
+
+@pytest.mark.parametrize("size", [1, ROWS])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_state_coords_rows_equal_hopf_base(size, n):
+    rows = amplitude_rows(n, 130 + n)
+    for offset, batch in batches(rows, size):
+        for k, coords in enumerate(state_coords(batch)):
+            assert np.array_equal(hopf_base(PureState(rows[offset + k])).coords, coords)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (2, 1)])
+def test_tensor_amplitudes_rows_equal_tensor(sizes):
+    rng = np.random.default_rng(140 + sum(sizes))
+    a, b = (haar_amplitudes(rng, n, ROWS) for n in sizes)
+    products = tensor_amplitudes(a, b)
+    assert products.shape == (ROWS, 2 ** sum(sizes))
+    for k in range(ROWS):
+        assert np.array_equal(tensor(PureState(a[k]), PureState(b[k])).amplitudes, products[k])
+        assert np.array_equal(tensor_amplitudes(a[k], b[k]), products[k])
+
+
+def test_minor_sum_rows_equal_minor_measure():
+    rows = classify_rows()
+    for amps, measure in zip(rows, minor_sum(matrix_minors(cut_stack(rows)))):
+        assert minor_measure(PureState(amps)) == measure
