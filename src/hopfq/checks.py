@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import entanglement
-from .division_algebra import CYCLES, HyperComplex, conj_coeffs, mul_coeffs, row_dot
+from .division_algebra import CYCLES, conj_coeffs, mul_coeffs, row_dot
 from .hopf_maps import (
     base_coords, bloch_slots, coords_entanglement, inverse_coeffs, ratio_coeffs, state_coords,
     stereographic_coeffs,
@@ -67,7 +67,7 @@ def _unit_pair_errors(errors: np.ndarray, first: np.ndarray, second: np.ndarray)
 def _result(name, errors, tol, describe_row) -> SuiteResult:
     """Suite result whose counterexample is ``describe_row(k)`` of the worst row k."""
     errors = np.asarray(errors, dtype=float)
-    failures = int(np.count_nonzero(errors > tol))
+    failures = int(np.count_nonzero(~(errors <= tol)))  # a NaN error fails
     return SuiteResult(
         name=name,
         trials=int(errors.shape[0]),
@@ -106,25 +106,20 @@ def _per_level(name, trials, tol, draw, errors_of, describe) -> SuiteResult:
 def suite_algebra_cycle_table(trials: int, rng: np.random.Generator) -> SuiteResult:
     """All 42 signed unit products implied by the seven cycles, plus squares."""
     eye = np.eye(8)
-    table = mul_coeffs(eye[:, None], eye[None], 3)  # table[l, r] = i_l i_r
-    expected = {}  # (l, r) -> (k, sign) for i_l i_r = sign i_k, in reporting order
+    expected = []  # (l, r, i_l i_r), reported cycle by cycle, squares last
     for a, b, c in CYCLES:
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
-            expected[i, j], expected[j, i] = (k, 1.0), (k, -1.0)
-    for m in range(1, 8):
-        expected[m, m] = (0, -1.0)
-    failures = []
-    for (left, right), (k, sign) in expected.items():
-        if not np.array_equal(table[left, right], sign * eye[k]):
-            name = f"i{left}^2" if left == right else f"i{left}*i{right}"
-            failures.append(f"{name} gave {HyperComplex(3, table[left, right])}")
-    return SuiteResult(
-        name="algebra_cycle_table",
-        trials=len(expected),
-        failures=len(failures),
-        max_error=0.0 if not failures else 1.0,
-        counterexample=failures[0] if failures else None,
-    )
+            expected += [(i, j, eye[k]), (j, i, -eye[k])]
+    expected += [(m, m, -eye[0]) for m in range(1, 8)]
+    left, right, want = (np.array(column) for column in zip(*expected))
+    products = mul_coeffs(eye[:, None], eye[None], 3)[left, right]  # row k: i_left[k] i_right[k]
+
+    def counterexample(row):
+        name = f"i{left[row]}^2" if left[row] == right[row] else f"i{left[row]}*i{right[row]}"
+        return f"{name} gave {_coeff_text(products[row])}"
+
+    errors = np.abs(products - want).max(axis=-1)
+    return _result("algebra_cycle_table", errors, 0.0, counterexample)
 
 
 def suite_norm_multiplicativity(trials: int, rng: np.random.Generator) -> SuiteResult:

@@ -23,8 +23,8 @@ from .errors import ContractViolationError
 from .hopf_maps import (
     base_coords,
     coords_entanglement,
+    descend,
     hopf_base,
-    iterated_analysis,
     ratio_coeffs,
 )
 from .qubit_states import (
@@ -78,8 +78,9 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _analyze_three(state: PureState, matrices, coords, tol: float, lines: list[str]) -> None:
-    report = classify_cuts(matrix_minors(matrices), coords_entanglement(coords), tol)
+def _analyze_three(matrices, coords, tol: float, lines: list[str]) -> None:
+    minors = matrix_minors(matrices)
+    report = classify_cuts(minors, coords_entanglement(coords), tol)
     lines.append("entanglement:")
     for cut, e in zip(CUTS, report.e_per_cut):
         lines.append(f"  e cut {cut}: {_fmt(e)}")
@@ -88,7 +89,7 @@ def _analyze_three(state: PureState, matrices, coords, tol: float, lines: list[s
     lines.append(f"  classification: {report.classification}")
     for cut, res in zip(CUTS, report.residuals_per_cut):
         lines.append(f"  residuals cut {cut}: {_fmt_vec(res)}")
-    chain = iterated_analysis(state, tol)
+    chain = descend(matrices[0], coords[0], float(np.abs(minors[0]).max()), tol)
     lines.append("chain:")
     for index, stage in enumerate(chain.stages, start=1):
         sep = "yes" if stage.separable else "no"
@@ -141,7 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"  {key}: {format_amplitudes(rho.ravel())}" for key, rho in zip(density_keys, densities)
     ]
     if state.n == 3:
-        _analyze_three(state, matrices, coords, args.tol, lines)
+        _analyze_three(matrices, coords, args.tol, lines)
     elif state.n == 2:
         _analyze_two(state, coords[0], args.tol, lines)
     print("\n".join(lines))

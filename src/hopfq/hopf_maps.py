@@ -303,28 +303,17 @@ def state_from_chart(chart: FiberChart) -> PureState:
 # Fiber decomposition and the iterated chain
 # ---------------------------------------------------------------------------
 
-def _gauge_fix(amplitudes: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first nonzero amplitude is real positive."""
-    out = np.asarray(amplitudes, dtype=complex)
-    for z in out:
-        if abs(z) > ABS_TOL:
-            return out * (abs(z) / z)
-    return out
-
-
-def _extract_factor(matrix: np.ndarray) -> PureState:
-    """Normalized, gauge-fixed dominant row of a rank-1 (within tol) matrix."""
-    norms = np.linalg.norm(matrix, axis=1)
-    row = matrix[int(np.argmax(norms))]
-    row = _gauge_fix(row / np.linalg.norm(row))
-    return PureState(row / np.linalg.norm(row))
-
-
-def _split_first_qubit(state: PureState, base: BasePoint) -> tuple[BasePoint, PureState]:
-    """Bloch point and factor of a 2- or 3-qubit state whose first qubit separates."""
-    bloch = bloch_slots(base.coords)
-    factor = _extract_factor(first_qubit_matrix(state.amplitudes))
-    return BasePoint(bloch / np.linalg.norm(bloch)), factor
+def _split_step(matrix: np.ndarray, coords: np.ndarray) -> tuple[BasePoint, PureState]:
+    """Bloch point and factor of a first-qubit matrix whose rows are parallel
+    (within tol), from the state's base coordinates.  The factor is the
+    normalized dominant row, phased so its first nonzero amplitude is real
+    positive."""
+    row = matrix[int(np.argmax(np.linalg.norm(matrix, axis=1)))]
+    row = row / np.linalg.norm(row)
+    lead = row[np.argmax(np.abs(row) > ABS_TOL)]
+    row = row * (abs(lead) / lead)
+    bloch = bloch_slots(coords)
+    return BasePoint(bloch / np.linalg.norm(bloch)), PureState(row / np.linalg.norm(row))
 
 
 def fiber_decompose(
@@ -344,7 +333,7 @@ def fiber_decompose(
         raise SeparabilityError(
             f"state is entangled across cut 1: max residual {residual:.3e}"
         )
-    return _split_first_qubit(state, hopf_base(state))
+    return _split_step(first_qubit_matrix(state.amplitudes), state_coords(state.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -376,17 +365,30 @@ def iterated_analysis(state: PureState, tol: float = SEPARABILITY_TOL) -> Iterat
     """
     if state.n != 3:
         raise ContractViolationError("iterated_analysis expects a 3-qubit state")
+    amplitudes = state.amplitudes
+    return descend(
+        first_qubit_matrix(amplitudes), state_coords(amplitudes), split_residual(amplitudes), tol
+    )
+
+
+def descend(
+    matrix: np.ndarray, coords: np.ndarray, residual: float, tol: float = SEPARABILITY_TOL
+) -> IteratedReport:
+    """``iterated_analysis`` from the first-qubit matrix, base coordinates and
+    split residual of the state, for callers that already hold them."""
     stages: list[ChainStage] = []
     bloch_points: list[BasePoint] = []
-    while state.n > 1:
-        base = hopf_base(state)
-        separable = split_residual(state.amplitudes) <= tol
-        stages.append(ChainStage(state.n, base, base_entanglement(base), separable, separable))
+    base = BasePoint(coords)
+    while base.level > 1:
+        separable = residual <= tol
+        stages.append(ChainStage(base.level, base, base_entanglement(base), separable, separable))
         if not separable:
             return IteratedReport(tuple(stages), tuple(bloch_points), False)
-        bloch, state = _split_first_qubit(state, base)
+        bloch, factor = _split_step(matrix, base.coords)
         bloch_points.append(bloch)
-    base = hopf_base(state)
+        matrix = first_qubit_matrix(factor.amplitudes)
+        base = BasePoint(state_coords(factor.amplitudes))
+        residual = split_residual(factor.amplitudes) if factor.n > 1 else 0.0
     stages.append(ChainStage(1, base, 0.0, True, False))
     bloch_points.append(base)
     return IteratedReport(tuple(stages), tuple(bloch_points), True)

@@ -13,7 +13,7 @@ from hopfq.checks import (
     suite_fibration_round_trip,
     suite_minor_measure_equals_e_avg,
 )
-from hopfq.qubit_states import haar_amplitudes
+from hopfq.qubit_states import format_amplitudes, haar_amplitudes
 
 
 def test_all_suites_pass():
@@ -90,22 +90,59 @@ def test_per_level_counterexample_is_the_worst_rows_own_state(monkeypatch):
     assert len(result.counterexample.split()) == 2
 
 
-@pytest.mark.parametrize("flips, text", [
-    ([(2, 4)], "i2*i4 gave -1*i6"),  # i2 i4 = i6 from the cycle (246)
-    ([(5, 5)], "i5^2 gave 1"),
+def flip(*products):
+    def edit(table):
+        for left, right in products:
+            table[left, right] *= -1.0
+    return edit
+
+
+def nudge_i2_i4(table):
+    table[2, 4, [0, 6]] += 1e-15  # still prints as 1*i6 at %g
+
+
+@pytest.mark.parametrize("edit, failures, max_error, text", [
+    # i2 i4 = i6 from the cycle (246)
+    (flip((2, 4)), 1, 2.0, "i2*i4 gave [-0., -0., -0., -0., -0., -0., -1., -0.]"),
+    (flip((5, 5)), 1, 2.0, "i5^2 gave [ 1., -0., -0., -0., -0., -0., -0., -0.]"),
     # Failures are reported cycle by cycle, squares last, not in table order.
-    ([(1, 1), (7, 4)], "i7*i4 gave 1*i1"),
-])
-def test_cycle_table_suite_reports_a_flipped_unit_product(monkeypatch, flips, text):
+    (flip((1, 1), (7, 4)), 2, 2.0, "i7*i4 gave [-0.,  1., -0., -0., -0., -0., -0., -0.]"),
+    (nudge_i2_i4, 1, (1.0 + 1e-15) - 1.0, (
+        "i2*i4 gave [1.000000000000000e-15, 0.000000000000000e+00, 0.000000000000000e+00,\n"
+        " 0.000000000000000e+00, 0.000000000000000e+00, 0.000000000000000e+00,\n"
+        " 1.000000000000001e+00, 0.000000000000000e+00]"
+    )),
+], ids=["flip-i2*i4", "flip-i5^2", "flip-i1^2-i7*i4", "nudge-i2*i4"])
+def test_cycle_table_suite_reports_a_flipped_unit_product(
+    monkeypatch, edit, failures, max_error, text
+):
     mul_coeffs = hopfq.checks.mul_coeffs
 
-    def flipped(a, b, level):
+    def edited(a, b, level):
         table = mul_coeffs(a, b, level)
-        for left, right in flips:
-            table[left, right] *= -1.0
+        edit(table)
         return table
 
-    monkeypatch.setattr(hopfq.checks, "mul_coeffs", flipped)
+    monkeypatch.setattr(hopfq.checks, "mul_coeffs", edited)
     result = suite_algebra_cycle_table(0, np.random.default_rng(0))
-    assert (result.trials, result.failures, result.max_error) == (49, len(flips), 1.0)
+    assert (result.trials, result.failures, result.max_error) == (49, failures, max_error)
     assert result.counterexample == text
+
+
+def test_a_nan_error_is_a_failure(monkeypatch):
+    # NaN > tol is False, so a suite used to pass with max error nan.
+    state_coords = hopfq.checks.state_coords
+    nan_rows = []
+
+    def nan_on_one_row(amplitudes):
+        coords = state_coords(amplitudes)
+        if amplitudes.shape[-1] == 4:
+            coords[3] = np.nan
+            nan_rows.append(amplitudes[3])
+        return coords
+
+    monkeypatch.setattr(hopfq.checks, "state_coords", nan_on_one_row)
+    result = suite_base_normalization(30, np.random.default_rng(3))
+    assert result.failures == 1
+    assert np.isnan(result.max_error)
+    assert result.counterexample == format_amplitudes(nan_rows[0])

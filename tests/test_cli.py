@@ -47,8 +47,9 @@ def test_analyze_w_document(capsys):
 
 
 def test_analyze_packs_the_cut_stack_once(capsys, monkeypatch):
-    """The base, h1 and density sections and the classification read one
-    packing of the three cuts; the chain's first stage packs the state."""
+    """The base, h1 and density sections, the classification and the chain's
+    first stage read one packing of the three cuts; later chain stages pack
+    only the factor states."""
     shapes = []
 
     def recording(amplitudes):
@@ -57,9 +58,11 @@ def test_analyze_packs_the_cut_stack_once(capsys, monkeypatch):
 
     for module in (hopfq.cli, hopfq.hopf_maps):
         monkeypatch.setattr(module, "pack_coeffs", recording)
-    code, _, _ = run(capsys, ["analyze", "w"])
-    assert code == 0
-    assert shapes == [(3, 8), (8,)]
+    for spec, packed in (("w", [(3, 8)]), (ZERO_STATE, [(3, 8), (4,), (2,)])):
+        shapes.clear()
+        code, _, _ = run(capsys, ["analyze", spec])
+        assert code == 0
+        assert shapes == packed
 
 
 def test_analyze_byte_stability(capsys):

@@ -30,6 +30,9 @@ GOLDEN = {
     "analyze_near_pole.txt": ["analyze", "1,0 0,0 0,0 0,0 0,0 0,0 0,0 1e-7,0"],
     # |o2|^2 = 1e-16, below INFINITY_NORM_SQ: the ratio value is infinity.
     "analyze_at_pole.txt": ["analyze", "1,0 0,0 0,0 0,0 0,0 0,0 0,0 1e-8,0"],
+    # |1> (x) i(0.6|01> + 0.8|11>): the chain's factor leads with a zero
+    # amplitude and carries a phase of i, which the gauge fix removes.
+    "analyze_imaginary_factor.txt": ["analyze", "0,0 0,0 0,0 0,0 0,0 0,0.6 0,0 0,0.8"],
     "analyze_two_qubit.txt": ["analyze", "0.6,0 0,0 0,0 0,0.8"],
     "analyze_one_qubit.txt": ["analyze", "0.6,0 0,0.8"],
     "sample_3_50_seed7.txt": ["sample", "3", "50", "--seed", "7"],

@@ -5,8 +5,8 @@ The rows are Haar-random, plus rows near the pole (|o2|^2 = 1e-8, 1e-12,
 its mask and the wrapper returns INFINITY) and with a real ratio value
 (vector part 0 or 1e-9).  Every formula is checked on a batch of 500 rows
 and on single-row batches, row by row with ==, not a tolerance.  The same
-holds for the cut stack and the classification core that ``analyze`` feeds
-from it, and for the state kernels of base coordinates, tensor products
+holds for the cut stack and the classification and descent cores that
+``analyze`` feeds from it, and for the state kernels of base coordinates, tensor products
 and the minor-sum measure.
 """
 
@@ -32,12 +32,14 @@ from hopfq.hopf_maps import (
     base_coords,
     base_entanglement,
     coords_entanglement,
+    descend,
     fiber_chart,
     h1_value,
     hopf_base,
     hopf_inverse,
     inverse_coeffs,
     is_infinite,
+    iterated_analysis,
     ratio_coeffs,
     state_coords,
     state_from_chart,
@@ -272,6 +274,28 @@ def test_classify_core_from_the_cut_stack_equals_classify():
         "entangled", "fully-separable", "biseparable(cut 1)", "biseparable(cut 2)",
         "biseparable(cut 3)",
     }
+
+
+def chain_fields(report):
+    """The report with each base point replaced by its coordinates."""
+    return (
+        [(s.level, tuple(s.base.coords), s.e_value, s.separable, s.descended)
+         for s in report.stages],
+        [tuple(point.coords) for point in report.bloch_points],
+        report.fully_separable,
+    )
+
+
+def test_descent_core_from_the_cut_stack_equals_iterated_analysis():
+    lengths = set()
+    for amps in classify_rows():
+        stack = cut_stack(amps)
+        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)), 3)
+        residual = float(np.abs(matrix_minors(stack)[0]).max())
+        report = descend(stack[0], coords[0], residual)
+        assert chain_fields(report) == chain_fields(iterated_analysis(PureState(amps)))
+        lengths.add(len(report.stages))
+    assert lengths == {1, 2, 3}
 
 
 @pytest.mark.parametrize("size", [1, ROWS])
