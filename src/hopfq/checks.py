@@ -9,6 +9,7 @@ each but ``algebra_cycle_table``, which always checks its 49 products.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,7 +55,8 @@ def _random_units(rng: np.random.Generator, count: int, dim: int = 8) -> np.ndar
 
 
 def _coeff_text(*rows: np.ndarray) -> str:
-    return " ; ".join(np.array2string(row, separator=", ", precision=17) for row in rows)
+    wide = {"max_line_width": sys.maxsize, "separator": ", ", "precision": 17}  # one line
+    return " ; ".join(np.array2string(row, **wide) for row in rows)
 
 
 def _unit_pair_errors(errors: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -81,14 +83,14 @@ def _per_level(name, trials, tol, draw, errors_of, describe) -> SuiteResult:
     """A suite whose trials are split evenly over the levels 1, 2, 3.
 
     ``draw(level, count)`` returns a tuple of input arrays with ``count`` rows,
-    ``errors_of(level, *inputs)`` their errors, and the counterexample is
+    ``errors_of(*inputs)`` their errors, and the counterexample is
     ``describe(*row)`` of the worst row's own inputs.
     """
     inputs, errors = [], []
     for level in (1, 2, 3):
         count = (trials + 3 - level) // 3  # the first trials % 3 levels take one more
         inputs.append(draw(level, count))
-        errors.append(errors_of(level, *inputs[-1]))
+        errors.append(errors_of(*inputs[-1]))
 
     def counterexample(worst: int) -> str:
         for level_inputs, level_errors in zip(inputs, errors):
@@ -112,7 +114,7 @@ def suite_algebra_cycle_table(trials: int, rng: np.random.Generator) -> SuiteRes
             expected += [(i, j, eye[k]), (j, i, -eye[k])]
     expected += [(m, m, -eye[0]) for m in range(1, 8)]
     left, right, want = (np.array(column) for column in zip(*expected))
-    products = mul_coeffs(eye[:, None], eye[None], 3)[left, right]  # row k: i_left[k] i_right[k]
+    products = mul_coeffs(eye[:, None], eye[None])[left, right]  # row k: i_left[k] i_right[k]
 
     def counterexample(row):
         name = f"i{left[row]}^2" if left[row] == right[row] else f"i{left[row]}*i{right[row]}"
@@ -126,8 +128,8 @@ def suite_norm_multiplicativity(trials: int, rng: np.random.Generator) -> SuiteR
     def draw(level, count):
         return _random_units(rng, count, 2 ** level), _random_units(rng, count, 2 ** level)
 
-    def errors(level, a, b):
-        prod = mul_coeffs(a, b, level)
+    def errors(a, b):
+        prod = mul_coeffs(a, b)
         return np.abs(np.sum(prod * prod, axis=-1) - 1.0)
 
     return _per_level(
@@ -138,12 +140,12 @@ def suite_norm_multiplicativity(trials: int, rng: np.random.Generator) -> SuiteR
 def suite_alternativity(trials: int, rng: np.random.Generator) -> SuiteResult:
     a = _random_units(rng, trials)
     b = _random_units(rng, trials)
-    aa = mul_coeffs(a, a, 3)
-    ab = mul_coeffs(a, b, 3)
-    ba = mul_coeffs(b, a, 3)
-    left = np.abs(mul_coeffs(aa, b, 3) - mul_coeffs(a, ab, 3)).max(axis=-1)
-    mid = np.abs(mul_coeffs(ab, a, 3) - mul_coeffs(a, ba, 3)).max(axis=-1)
-    right = np.abs(mul_coeffs(ba, a, 3) - mul_coeffs(b, aa, 3)).max(axis=-1)
+    aa = mul_coeffs(a, a)
+    ab = mul_coeffs(a, b)
+    ba = mul_coeffs(b, a)
+    left = np.abs(mul_coeffs(aa, b) - mul_coeffs(a, ab)).max(axis=-1)
+    mid = np.abs(mul_coeffs(ab, a) - mul_coeffs(a, ba)).max(axis=-1)
+    right = np.abs(mul_coeffs(ba, a) - mul_coeffs(b, aa)).max(axis=-1)
     errors = np.maximum(np.maximum(left, mid), right)
     return _result(
         "algebra_alternativity", errors, ABS_TOL,
@@ -154,8 +156,8 @@ def suite_alternativity(trials: int, rng: np.random.Generator) -> SuiteResult:
 def suite_conj_anti_automorphism(trials: int, rng: np.random.Generator) -> SuiteResult:
     a = _random_units(rng, trials)
     b = _random_units(rng, trials)
-    lhs = conj_coeffs(mul_coeffs(a, b, 3))
-    rhs = mul_coeffs(conj_coeffs(b), conj_coeffs(a), 3)
+    lhs = conj_coeffs(mul_coeffs(a, b))
+    rhs = mul_coeffs(conj_coeffs(b), conj_coeffs(a))
     errors = np.abs(lhs - rhs).max(axis=-1)
     return _result(
         "algebra_conj_anti_automorphism", errors, ABS_TOL,
@@ -167,7 +169,7 @@ def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteRe
     x = _random_units(rng, trials)
     y = _random_units(rng, trials)
     # y is unit, so y^-1 = y*.
-    errors = np.abs(mul_coeffs(mul_coeffs(x, y, 3), conj_coeffs(y), 3) - x).max(axis=-1)
+    errors = np.abs(mul_coeffs(mul_coeffs(x, y), conj_coeffs(y)) - x).max(axis=-1)
     return _result(
         "algebra_inverse_cancellation", errors, ABS_TOL,
         lambda k: _coeff_text(x[k], y[k]),
@@ -179,7 +181,7 @@ def suite_inverse_cancellation(trials: int, rng: np.random.Generator) -> SuiteRe
 # ---------------------------------------------------------------------------
 
 def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResult:
-    def errors(n, amps):
+    def errors(amps):
         coords = state_coords(amps)
         return np.abs(np.sum(coords * coords, axis=-1) - 1.0)
 
@@ -190,10 +192,10 @@ def suite_base_normalization(trials: int, rng: np.random.Generator) -> SuiteResu
 
 
 def suite_stereographic_h1_consistency(trials: int, rng: np.random.Generator) -> SuiteResult:
-    def errors(n, amps):
+    def errors(amps):
         first, second = pack_coeffs(amps)
-        projected, projected_at_infinity = stereographic_coeffs(base_coords(first, second, n))
-        ratio, ratio_at_infinity = ratio_coeffs(first, second, n)
+        projected, projected_at_infinity = stereographic_coeffs(base_coords(first, second))
+        ratio, ratio_at_infinity = ratio_coeffs(first, second)
         return np.where(
             projected_at_infinity | ratio_at_infinity,
             projected_at_infinity != ratio_at_infinity,
@@ -210,7 +212,7 @@ def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteRe
     bases = _random_units(rng, trials, 9)
     fibers = _random_units(rng, trials)
     first, second = inverse_coeffs(bases, fibers)
-    errors = np.abs(base_coords(first, second, 3) - bases).max(axis=-1)
+    errors = np.abs(base_coords(first, second) - bases).max(axis=-1)
     return _result(
         "fibration_round_trip", _unit_pair_errors(errors, first, second), MAP_CONSISTENCY_TOL,
         lambda k: _coeff_text(bases[k], fibers[k]),
@@ -220,11 +222,11 @@ def suite_fibration_round_trip(trials: int, rng: np.random.Generator) -> SuiteRe
 def suite_fiber_invariance(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
     gauges = _random_units(rng, trials)
-    y, at_infinity = ratio_coeffs(*pack_coeffs(amps), 3)
-    first = mul_coeffs(y, gauges, 3)
+    y, at_infinity = ratio_coeffs(*pack_coeffs(amps))
+    first = mul_coeffs(y, gauges)
     scale = np.sqrt(row_dot(first, first) + row_dot(gauges, gauges))[:, None]
     first, second = first / scale, gauges / scale
-    y_moved, moved_at_infinity = ratio_coeffs(first, second, 3)
+    y_moved, moved_at_infinity = ratio_coeffs(first, second)
     errors = np.where(moved_at_infinity, 1.0, np.abs(y_moved - y).max(axis=-1))
     errors = np.where(at_infinity, 0.0, _unit_pair_errors(errors, first, second))
     return _result(
@@ -244,7 +246,7 @@ def suite_gauge_invariance(trials: int, rng: np.random.Generator) -> SuiteResult
     def draw(n, count):
         return haar_amplitudes(rng, n, count), np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
 
-    def errors(n, amps, phases):
+    def errors(amps, phases):
         coords = state_coords(amps)
         rotated = state_coords(amps * phases[:, None])
         bloch = np.abs(bloch_slots(rotated) - bloch_slots(coords)).max(axis=-1)
@@ -286,7 +288,7 @@ def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResu
     for cut in CUTS:
         view = cut_matrix(amps, cut)
         e_values = coords_entanglement(state_coords(view.reshape(-1, 8)))
-        rho = np.einsum("bij,bkj->bik", view, view.conj())
+        rho = entanglement.reduced_density(view)
         errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
     return _result(
         "e_equals_4_det_rho", errors, IDENTITY_TOL,

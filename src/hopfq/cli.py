@@ -18,20 +18,13 @@ import sys
 import numpy as np
 
 from . import checks
-from .entanglement import classify_cuts, cut_entanglement, separability_2qubit
+from .entanglement import classify_cuts, cut_entanglement, reduced_density, separability_2qubit
 from .errors import ContractViolationError
-from .hopf_maps import (
-    base_coords,
-    coords_entanglement,
-    descend,
-    hopf_base,
-    ratio_coeffs,
-)
+from .hopf_maps import base_coords, coords_entanglement, descend, ratio_coeffs, state_coords
 from .qubit_states import (
     CUTS,
     PureState,
     cut_stack,
-    cut_state,
     format_amplitudes,
     format_number as _fmt,
     haar_amplitudes,
@@ -128,19 +121,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         keys, density_keys = ["value"], ["first qubit" if state.n == 2 else "qubit"]
     first, second = pack_coeffs(matrices.reshape(len(keys), -1))
-    coords = base_coords(first, second, state.n)
+    coords = base_coords(first, second)
     lines.append("base:")
     lines += [f"  {key}: {_fmt_labeled_coords(c)}" for key, c in zip(keys, coords)]
     lines.append("h1:")
     lines += [
         f"  {key}: {'infinity' if at_infinity else _fmt_vec(value)}"
-        for key, value, at_infinity in zip(keys, *ratio_coeffs(first, second, state.n))
+        for key, value, at_infinity in zip(keys, *ratio_coeffs(first, second))
     ]
     lines.append("density:")
-    densities = matrices @ matrices.conj().swapaxes(-1, -2)
-    lines += [
-        f"  {key}: {format_amplitudes(rho.ravel())}" for key, rho in zip(density_keys, densities)
-    ]
+    rows = zip(density_keys, reduced_density(matrices))
+    lines += [f"  {key}: {format_amplitudes(rho.ravel())}" for key, rho in rows]
     if state.n == 3:
         _analyze_three(matrices, coords, args.tol, lines)
     elif state.n == 2:
@@ -155,14 +146,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_coords(args: argparse.Namespace) -> int:
     state = _load_state(args.state, args.renormalize)
-    if state.n == 3:
-        coords = hopf_base(cut_state(state, args.cut)).coords
-    else:
-        if args.cut != 1:
-            raise ContractViolationError(
-                f"--cut {args.cut} is only available for 3-qubit states"
-            )
-        coords = hopf_base(state).coords
+    if state.n < 3 and args.cut != 1:
+        raise ContractViolationError(f"--cut {args.cut} is only available for 3-qubit states")
+    # The cut's row of the stack that analyze reads.
+    coords = state_coords(cut_stack(state.amplitudes)[args.cut - 1].reshape(-1))
     sum_sq = float(coords @ coords)
     if args.csv:
         rows = ["coordinate,value"]

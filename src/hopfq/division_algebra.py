@@ -104,16 +104,16 @@ def _build_tensor(level: int) -> np.ndarray:
             m[i, j] = _pair_to_basis(_pair_mul(_basis_to_pair(eye[i]), _basis_to_pair(eye[j])))
     return m
 
-_MUL_TENSOR = {level: _build_tensor(level) for level in LEVELS}
+_MUL_TENSOR = {2 ** level: _build_tensor(level) for level in LEVELS}
 
 
-def mul_coeffs(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
+def mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient arrays; broadcasts over leading axes.
 
-    Both arguments must have trailing dimension 2**level.  This is the
+    The shared trailing size, 2, 4 or 8, picks the algebra.  This is the
     batch-friendly kernel behind HyperComplex.__mul__.
     """
-    return np.einsum("...i,...j,ijk->...k", a, b, _MUL_TENSOR[level])
+    return np.einsum("...i,...j,ijk->...k", a, b, _MUL_TENSOR[np.shape(a)[-1]])
 
 
 def conj_coeffs(a: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ class HyperComplex:
     def __mul__(self, other):
         if isinstance(other, HyperComplex):
             self._check_level(other)
-            return HyperComplex(self._level, mul_coeffs(self._coeffs, other._coeffs, self._level))
+            return HyperComplex(self._level, mul_coeffs(self._coeffs, other._coeffs))
         return HyperComplex(self._level, self._coeffs * float(other))
 
     def __rmul__(self, other) -> "HyperComplex":
@@ -268,6 +268,14 @@ class HyperComplex:
         return HyperComplex(self._level, conj_coeffs(self._coeffs) / n2)
 
     # -- misc ----------------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HyperComplex):
+            return NotImplemented
+        return bool(np.array_equal(self._coeffs, other._coeffs))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._coeffs.tolist()))  # 0.0 and -0.0 hash alike
 
     def __repr__(self) -> str:
         return f"HyperComplex({self._level}, {np.array2string(self._coeffs, separator=', ')})"

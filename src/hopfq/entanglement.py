@@ -69,10 +69,14 @@ class DensityMatrix2:
         return f"DensityMatrix2({np.array2string(self._matrix, separator=', ')})"
 
 
+def reduced_density(matrices: np.ndarray) -> np.ndarray:
+    """rho = M M^dagger of (..., 2, k) first-qubit matrices; broadcasts."""
+    return matrices @ np.conj(matrices).swapaxes(-1, -2)
+
+
 def partial_trace_keep(state: PureState, keep: int) -> DensityMatrix2:
     """Reduced density matrix of one qubit of a 3-qubit state."""
-    m = reshape_matrix(state, keep)
-    return DensityMatrix2(m @ m.conj().T)
+    return DensityMatrix2(reduced_density(reshape_matrix(state, keep)))
 
 
 def bloch_density(base: BasePoint) -> DensityMatrix2:

@@ -85,6 +85,14 @@ class BasePoint:
     def level(self) -> int:
         return _DIM_TO_LEVEL[self._coords.shape[0]]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BasePoint):
+            return NotImplemented
+        return bool(np.array_equal(self._coords, other._coords))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._coords.tolist()))  # 0.0 and -0.0 hash alike
+
     def __repr__(self) -> str:
         return f"BasePoint({np.array2string(self._coords, separator=', ')})"
 
@@ -111,23 +119,20 @@ def is_infinite(value: ExtendedValue) -> bool:
 # Forward maps
 # ---------------------------------------------------------------------------
 
-def base_coords(first: np.ndarray, second: np.ndarray, level: int) -> np.ndarray:
+def base_coords(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Base coordinates from packed coefficient arrays; broadcasts batches."""
-    p = mul_coeffs(first, conj_coeffs(second), level)
-    dim = 2 ** level
+    p = mul_coeffs(first, conj_coeffs(second))
+    dim = p.shape[-1]
     out = np.empty(p.shape[:-1] + (dim + 1,))
-    out[..., 0] = 2.0 * p[..., 0]
-    out[..., 1] = -2.0 * p[..., 1]
-    if dim > 2:
-        out[..., 2:dim] = 2.0 * p[..., 2:]
+    out[..., :dim] = 2.0 * p
+    out[..., 1] *= -1.0
     out[..., dim] = np.sum(first * first, axis=-1) - np.sum(second * second, axis=-1)
     return out
 
 
 def state_coords(amplitudes: np.ndarray) -> np.ndarray:
     """Base coordinates of (..., 2**n) amplitude arrays, for any n; broadcasts."""
-    first, second = pack_coeffs(amplitudes)
-    return base_coords(first, second, first.shape[-1].bit_length() - 1)
+    return base_coords(*pack_coeffs(amplitudes))
 
 
 def bloch_slots(coords: np.ndarray) -> np.ndarray:
@@ -158,18 +163,18 @@ def _divide_finite(numerator: np.ndarray, denom, at_infinity) -> np.ndarray:
     return np.divide(numerator, denom[..., None], out=np.zeros(np.shape(numerator)), where=finite)
 
 
-def ratio_coeffs(first: np.ndarray, second: np.ndarray, level: int):
+def ratio_coeffs(first: np.ndarray, second: np.ndarray):
     """(o1 o2^{-1}, at_infinity) of packed coefficient arrays; broadcasts.  The
     mask is set where |o2|^2 < INFINITY_NORM_SQ, and the value is 0 there."""
     norm_sq = row_dot(second, second)
     at_infinity = norm_sq < INFINITY_NORM_SQ
     inverse = _divide_finite(conj_coeffs(second), norm_sq, at_infinity)
-    return mul_coeffs(first, inverse, level), at_infinity
+    return mul_coeffs(first, inverse), at_infinity
 
 
 def h1_value(state: PureState) -> ExtendedValue:
     """Ratio value o1 * o2^{-1} of the packed pair, or INFINITY."""
-    value, at_infinity = ratio_coeffs(*pack_coeffs(state.amplitudes), state.n)
+    value, at_infinity = ratio_coeffs(*pack_coeffs(state.amplitudes))
     return INFINITY if at_infinity else HyperComplex(state.n, value)
 
 
@@ -208,7 +213,7 @@ def stereographic_inverse(value: ExtendedValue, level: int | None = None) -> Bas
         first, second = HyperComplex.one(level), HyperComplex.zero(level)
     else:
         first, second = value, HyperComplex.one(value.level)
-    coords = base_coords(first.coeffs, second.coeffs, first.level)
+    coords = base_coords(first.coeffs, second.coeffs)
     return BasePoint(coords / np.linalg.norm(coords))
 
 
@@ -245,8 +250,8 @@ def _fiber_pair(cos_w, sin_w, theta, axis: np.ndarray, fiber: np.ndarray):
     """(cos_w exp(+axis theta/2) fiber, sin_w exp(-axis theta/2) fiber) on
     coefficient arrays; cos_w and sin_w broadcast against the results."""
     half = np.asarray(theta) / 2.0
-    first = mul_coeffs(exp_imaginary_coeffs(axis, half), fiber, 3)
-    second = mul_coeffs(exp_imaginary_coeffs(axis, -half), fiber, 3)
+    first = mul_coeffs(exp_imaginary_coeffs(axis, half), fiber)
+    second = mul_coeffs(exp_imaginary_coeffs(axis, -half), fiber)
     return cos_w * first, sin_w * second
 
 
@@ -283,7 +288,7 @@ def fiber_chart(state: PureState) -> FiberChart:
     pair = pack(state)
     o1, o2 = pair.first, pair.second
     omega = math.acos(max(-1.0, min(1.0, o1.norm())))
-    value, at_infinity = ratio_coeffs(o1.coeffs, o2.coeffs, 3)
+    value, at_infinity = ratio_coeffs(o1.coeffs, o2.coeffs)
     _, theta, axis = polar_coeffs(value)  # (0, i1) at infinity, where the value is 0
     axis = HyperComplex(3, axis)
     fiber = o1 / o1.norm() if at_infinity else exp_imaginary(axis, theta / 2.0) * (o2 / o2.norm())

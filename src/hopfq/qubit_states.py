@@ -239,13 +239,12 @@ def state_from_bloch(x: float, y: float, z: float) -> PureState:
 
 # Amplitude order that moves the cut qubit to the front, keeping the other
 # two in their original order: cube.transpose(0, 1, 2), (1, 0, 2), (2, 0, 1).
-# The key CUTS stacks all three.
-_CUT_ORDER = {
-    1: np.array([0, 1, 2, 3, 4, 5, 6, 7]),
-    2: np.array([0, 1, 4, 5, 2, 3, 6, 7]),
-    3: np.array([0, 2, 4, 6, 1, 3, 5, 7]),
-}
-_CUT_ORDER[CUTS] = np.stack([_CUT_ORDER[cut] for cut in CUTS])
+# Row k - 1 is cut k.
+_CUT_ORDER = np.array([
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [0, 1, 4, 5, 2, 3, 6, 7],
+    [0, 2, 4, 6, 1, 3, 5, 7],
+])
 
 # Column pairs of the six 2x2 minors of the reshaped matrix, ordered to match
 # the bilinear separability conditions for cut 1:
@@ -265,19 +264,18 @@ def first_qubit_matrix(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.reshape(amplitudes.shape[:-1] + (2, -1))
 
 
-def cut_matrix(amplitudes: np.ndarray, cut) -> np.ndarray:
-    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first;
-    ``cut`` = CUTS gives all three cuts as (..., 3, 2, 4)."""
-    if cut not in _CUT_ORDER:
-        raise ContractViolationError(f"cut must be 1, 2, 3 or {CUTS}, got {cut}")
-    return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut], axis=-1))
+def cut_matrix(amplitudes: np.ndarray, cut: int) -> np.ndarray:
+    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first."""
+    if cut not in CUTS:
+        raise ContractViolationError(f"cut must be one of {CUTS}, got {cut}")
+    return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut - 1], axis=-1))
 
 
 def cut_stack(amplitudes: np.ndarray) -> np.ndarray:
     """(..., c, 2, 2**(n-1)) first-qubit matrices of (..., 2**n) amplitudes:
     the three cuts of 3 qubits (c = 3), the state itself for 1 or 2 (c = 1)."""
     if amplitudes.shape[-1] == 8:
-        return cut_matrix(amplitudes, CUTS)
+        return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER, axis=-1))
     return first_qubit_matrix(amplitudes)[..., None, :, :]
 
 

@@ -107,7 +107,7 @@ def test_criterion_04_e_equals_4_det_rho():
     worst = 0.0
     for view in _cut_views(amps):
         flat = view.reshape(-1, 8)
-        coords = base_coords(*pack_coeffs(flat), 3)
+        coords = base_coords(*pack_coeffs(flat))
         e_values = np.sum(coords[:, 2:8] ** 2, axis=-1)
         rho = np.einsum("bij,bkj->bik", view, view.conj())
         det = (rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]).real
@@ -129,7 +129,7 @@ def test_criterion_05_minor_measure_equals_e_avg():
     minor_sum = np.zeros(amps.shape[0])
     pairs = ((0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3))
     for view in _cut_views(amps):
-        coords = base_coords(*pack_coeffs(view.reshape(-1, 8)), 3)
+        coords = base_coords(*pack_coeffs(view.reshape(-1, 8)))
         e_sum += np.sum(coords[:, 2:8] ** 2, axis=-1)
         for j, k in pairs:
             minors = view[:, 0, j] * view[:, 1, k] - view[:, 0, k] * view[:, 1, j]

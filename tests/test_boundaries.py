@@ -78,7 +78,7 @@ def test_hopf_inverse_round_trips_on_the_real_axis(scalar, negative, vector, alo
         value[1] = vector
     else:
         value[1:] = vector * direction[1:] / np.linalg.norm(direction[1:])
-    first = mul_coeffs(value, second, 3)  # the ratio value of (first, second) is value
+    first = mul_coeffs(value, second)  # the ratio value of (first, second) is value
     scale = math.sqrt(first @ first + 1.0)
     state = PureState(unpack_coeffs(first / scale, second / scale))
     base = hopf_base(state)

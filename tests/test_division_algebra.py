@@ -291,3 +291,17 @@ def test_hypercomplex_rejects_non_finite(level, bad):
     coeffs[-1] = bad
     with pytest.raises(ContractViolationError):
         HyperComplex(level, coeffs)
+
+
+def test_hypercomplex_compares_and_hashes_by_value():
+    a = HyperComplex(3, np.arange(8.0) / 10.0)
+    same = HyperComplex(3, np.arange(8.0) / 10.0)
+    assert a == same and hash(a) == hash(same)
+    assert a != HyperComplex(3, np.arange(8.0) / 10.0 + 1e-16)
+    assert polar(a) == polar(a)
+    # 0.0 and -0.0 compare equal, so they hash alike
+    plus, minus = HyperComplex(1, [0.0, 1.0]), HyperComplex(1, [-0.0, 1.0])
+    assert plus == minus and hash(plus) == hash(minus)
+    # the same coefficients at another level are another element
+    assert HyperComplex.one(1) != HyperComplex.one(2)
+    assert HyperComplex.one(1) != (1.0, 0.0)

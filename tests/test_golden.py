@@ -35,6 +35,18 @@ GOLDEN = {
     "analyze_imaginary_factor.txt": ["analyze", "0,0 0,0 0,0 0,0 0,0 0,0.6 0,0 0,0.8"],
     "analyze_two_qubit.txt": ["analyze", "0.6,0 0,0 0,0 0,0.8"],
     "analyze_one_qubit.txt": ["analyze", "0.6,0 0,0.8"],
+    # coords reads its cut's row of the same cut stack: the base lines of
+    # the analyze documents above.
+    "coords_imaginary_factor_cut2.txt": [
+        "coords", "0,0 0,0 0,0 0,0 0,0 0,0.6 0,0 0,0.8", "--cut", "2",
+    ],
+    "coords_imaginary_factor_cut3.csv": [
+        "coords", "0,0 0,0 0,0 0,0 0,0 0,0.6 0,0 0,0.8", "--cut", "3", "--csv",
+    ],
+    "coords_biseparable_cut2.txt": [
+        "coords", "0.707106781187,0 0,0 0,0 0.707106781187,0 0,0 0,0 0,0 0,0", "--cut", "2",
+    ],
+    "coords_two_qubit.txt": ["coords", "0.6,0 0,0 0,0 0,0.8"],
     "sample_3_50_seed7.txt": ["sample", "3", "50", "--seed", "7"],
     "sample_3_2500_seed11_histogram20.txt": [
         "sample", "3", "2500", "--seed", "11", "--histogram", "20",

@@ -503,3 +503,19 @@ def test_iterated_analysis_two_qubit_stage_matches_separability():
         report = iterated_analysis(tensor(haar_state(rng, 1), haar_state(rng, 2)))
         assert [s.level for s in report.stages] == [3, 2]
         assert not report.fully_separable and len(report.bloch_points) == 1
+
+
+def test_reports_holding_base_points_compare_and_hash_by_value():
+    product, ghz = PureState.basis("000"), PureState.ghz()
+    report = iterated_analysis(product)
+    assert report == iterated_analysis(product)
+    assert hash(report) == hash(iterated_analysis(product))  # a frozen report hashes
+    assert report != iterated_analysis(PureState.basis("001"))
+    assert fiber_chart(ghz) == fiber_chart(ghz)
+    assert pack(ghz) == pack(ghz) and hash(pack(ghz)) == hash(pack(ghz))
+    # 0.0 and -0.0 compare equal, so they hash alike
+    plus, minus = BasePoint([0.0, 0.0, 1.0]), BasePoint([-0.0, 0.0, 1.0])
+    assert plus == minus and hash(plus) == hash(minus)
+    # the same pole at two levels is two points
+    assert stereographic_inverse(INFINITY, 1) != stereographic_inverse(INFINITY, 2)
+    assert plus != (0.0, 0.0, 1.0)

@@ -79,7 +79,7 @@ def amplitude_rows(n: int, seed: int) -> np.ndarray:
         _, second = pack_coeffs(rows[k])
         value = np.zeros(2 ** n)
         value[0], value[1] = scalar, tiny
-        first = mul_coeffs(value, second, n)
+        first = mul_coeffs(value, second)
         scale = math.sqrt(first @ first + second @ second)
         rows[k] = unpack_coeffs(first / scale, second / scale)
     return rows
@@ -103,7 +103,7 @@ def test_rows_cover_the_pole_cases():
     first, second = pack_coeffs(amplitude_rows(3, 1))
     norm_sq = np.sum(second * second, axis=-1)
     assert np.allclose(norm_sq[: len(NEAR_POLE)], NEAR_POLE, rtol=1e-6, atol=0.0)
-    _, at_infinity = ratio_coeffs(first, second, 3)
+    _, at_infinity = ratio_coeffs(first, second)
     assert at_infinity.sum() == len(AT_POLE)
     assert at_infinity[len(NEAR_POLE) : len(NEAR_POLE) + len(AT_POLE)].all()
 
@@ -113,7 +113,7 @@ def test_rows_cover_the_pole_cases():
 def test_h1_value_wraps_ratio_coeffs(size, n):
     rows = amplitude_rows(n, 10 + n)
     for offset, batch in batches(rows, size):
-        values, at_infinity = ratio_coeffs(*pack_coeffs(batch), n)
+        values, at_infinity = ratio_coeffs(*pack_coeffs(batch))
         for k, (value, mask) in enumerate(zip(values, at_infinity)):
             assert same_extended(h1_value(PureState(rows[offset + k])), value, mask)
 
@@ -121,7 +121,7 @@ def test_h1_value_wraps_ratio_coeffs(size, n):
 @pytest.mark.parametrize("size", [1, ROWS])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stereographic_wraps_stereographic_coeffs(size, n):
-    rows = base_coords(*pack_coeffs(amplitude_rows(n, 20 + n)), n)
+    rows = base_coords(*pack_coeffs(amplitude_rows(n, 20 + n)))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     for offset, batch in batches(rows, size):
         values, at_infinity = stereographic_coeffs(batch)
@@ -131,7 +131,7 @@ def test_stereographic_wraps_stereographic_coeffs(size, n):
 
 @pytest.mark.parametrize("size", [1, ROWS])
 def test_hopf_inverse_wraps_inverse_coeffs(size):
-    coords = base_coords(*pack_coeffs(amplitude_rows(3, 30)), 3)
+    coords = base_coords(*pack_coeffs(amplitude_rows(3, 30)))
     coords /= np.linalg.norm(coords, axis=-1, keepdims=True)
     fibers = np.random.default_rng(31).standard_normal((ROWS, 8))
     fibers /= np.linalg.norm(fibers, axis=-1, keepdims=True)
@@ -160,7 +160,7 @@ def test_state_from_chart_wraps_fiber_pair(size):
 
 def polar_rows() -> np.ndarray:
     """Ratio values of 3-qubit rows (0 at the pole), plus real-axis elements."""
-    values, _ = ratio_coeffs(*pack_coeffs(amplitude_rows(3, 50)), 3)
+    values, _ = ratio_coeffs(*pack_coeffs(amplitude_rows(3, 50)))
     for k, (scalar, tiny) in enumerate(REAL_RATIOS):
         values[-1 - k] = 0.0
         values[-1 - k, 0], values[-1 - k, 1] = scalar, tiny
@@ -208,7 +208,7 @@ def test_e_measures_wrap_cut_entanglement(size):
 @pytest.mark.parametrize("size", [1, ROWS])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_base_entanglement_wraps_coords_entanglement(size, n):
-    rows = base_coords(*pack_coeffs(amplitude_rows(n, 80 + n)), n)
+    rows = base_coords(*pack_coeffs(amplitude_rows(n, 80 + n)))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     for offset, batch in batches(rows, size):
         for k, e in enumerate(coords_entanglement(batch)):
@@ -232,9 +232,9 @@ def test_mul_coeffs_rows_equal_the_single_products(level):
     a, b = np.random.default_rng(100 + level).standard_normal((2, ROWS, 2 ** level))
     a[0] = b[1] = 0.0
     a[2, 1:] = b[3, 1:] = a[4, 1:] = b[4, 1:] = 0.0
-    products = mul_coeffs(a, b, level)
+    products = mul_coeffs(a, b)
     for k in range(ROWS):
-        assert np.array_equal(mul_coeffs(a[k], b[k], level), products[k])
+        assert np.array_equal(mul_coeffs(a[k], b[k]), products[k])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -243,7 +243,10 @@ def test_cut_stack_is_the_cut_matrices_or_the_state(n):
     stack = cut_stack(rows)
     assert stack.shape == (ROWS, 3 if n == 3 else 1, 2, 2 ** (n - 1))
     for amps, matrices in zip(rows, stack):
-        want = cut_matrix(amps, CUTS) if n == 3 else first_qubit_matrix(amps)[None]
+        if n == 3:
+            want = np.stack([cut_matrix(amps, cut) for cut in CUTS])
+        else:
+            want = first_qubit_matrix(amps)[None]
         assert np.array_equal(cut_stack(amps), want)
         assert np.array_equal(matrices, want)
 
@@ -266,7 +269,7 @@ def test_classify_core_from_the_cut_stack_equals_classify():
     labels = set()
     for amps in classify_rows():
         stack = cut_stack(amps)
-        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)), 3)
+        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)))
         report = classify_cuts(matrix_minors(stack), coords_entanglement(coords))
         assert report == classify(PureState(amps))
         labels.add(report.classification)
@@ -276,24 +279,14 @@ def test_classify_core_from_the_cut_stack_equals_classify():
     }
 
 
-def chain_fields(report):
-    """The report with each base point replaced by its coordinates."""
-    return (
-        [(s.level, tuple(s.base.coords), s.e_value, s.separable, s.descended)
-         for s in report.stages],
-        [tuple(point.coords) for point in report.bloch_points],
-        report.fully_separable,
-    )
-
-
 def test_descent_core_from_the_cut_stack_equals_iterated_analysis():
     lengths = set()
     for amps in classify_rows():
         stack = cut_stack(amps)
-        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)), 3)
+        coords = base_coords(*pack_coeffs(stack.reshape(3, -1)))
         residual = float(np.abs(matrix_minors(stack)[0]).max())
         report = descend(stack[0], coords[0], residual)
-        assert chain_fields(report) == chain_fields(iterated_analysis(PureState(amps)))
+        assert report == iterated_analysis(PureState(amps))
         lengths.add(len(report.stages))
     assert lengths == {1, 2, 3}
 

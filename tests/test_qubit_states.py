@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopfq.division_algebra import HyperComplex
 from hopfq.errors import ContractViolationError, UnsupportedSizeError
 from hopfq.qubit_states import (
+    CUTS,
     AlgebraPair,
     PureState,
     cut_matrix,
@@ -402,8 +403,9 @@ def test_cut_matrix_matches_transpose_form(cut):
 
 
 def test_cut_matrix_rejects_bad_cut():
-    with pytest.raises(ContractViolationError):
-        cut_matrix(np.zeros(8, dtype=complex), 0)
+    for cut in (0, 4, CUTS):  # one cut at a time: the tuple of all three is no cut
+        with pytest.raises(ContractViolationError):
+            cut_matrix(np.zeros(8, dtype=complex), cut)
 
 
 def test_det2_single_matrix_is_the_scalar_formula():
