@@ -52,68 +52,96 @@ def dim_of(level: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Structure tensors
+# Structure tensors, stored as signed gathers
 # ---------------------------------------------------------------------------
+#
+# The structure tensor M[i, j, k] = (e_i e_j)_k of a level has dim^2 nonzero
+# entries out of dim^3, exactly one j for each (i, k), each +1 or -1.  Each
+# level keeps only that j, J[i, k], and its sign, S[i, k]; mul_coeffs reads
+# these two dim x dim tables instead of contracting the dense tensor.
 
 def _pair_conj(a: np.ndarray) -> np.ndarray:
     out = a.copy()
-    out[1:] = -out[1:]
+    out[..., 1:] = -out[..., 1:]
     return out
 
 
 def _pair_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Recursive doubling product on coefficient vectors in raw pair order."""
-    n = a.shape[0]
+    """Recursive doubling product over the last axis, in raw pair order; broadcasts."""
+    n = a.shape[-1]
     if n == 1:
         return a * b
     h = n // 2
-    a1, a2 = a[:h], a[h:]
-    b1, b2 = b[:h], b[h:]
+    a1, a2 = a[..., :h], a[..., h:]
+    b1, b2 = b[..., :h], b[..., h:]
     first = _pair_mul(a1, b1) - _pair_mul(_pair_conj(b2), a2)
     second = _pair_mul(a2, _pair_conj(b1)) + _pair_mul(b2, a1)
-    return np.concatenate([first, second])
+    return np.concatenate([first, second], axis=-1)
 
 
 # Signed permutation between raw pair order p and basis order x at dim 8:
-# x[k] = _BASIS_SIGN[k] * p[_BASIS_PERM[k]].
+# x[..., k] = _BASIS_SIGN[k] * p[..., _BASIS_PERM[k]].
 _BASIS_PERM = np.array([0, 1, 2, 3, 4, 7, 6, 5])
 _BASIS_SIGN = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0])
 
 
 def _basis_to_pair(x: np.ndarray) -> np.ndarray:
-    if x.shape[0] < 8:
+    if x.shape[-1] < 8:
         return x
-    p = np.empty(8)
-    p[_BASIS_PERM] = _BASIS_SIGN * x
+    p = np.empty_like(x)
+    p[..., _BASIS_PERM] = _BASIS_SIGN * x
     return p
 
 
 def _pair_to_basis(p: np.ndarray) -> np.ndarray:
-    if p.shape[0] < 8:
+    if p.shape[-1] < 8:
         return p
-    return _BASIS_SIGN * p[_BASIS_PERM]
+    return _BASIS_SIGN * p[..., _BASIS_PERM]
 
 
-def _build_tensor(level: int) -> np.ndarray:
-    """Structure tensor M with (x y)_k = sum_ij x_i y_j M[i, j, k]."""
-    dim = 2 ** level
-    m = np.zeros((dim, dim, dim))
-    eye = np.eye(dim)
-    for i in range(dim):
-        for j in range(dim):
-            m[i, j] = _pair_to_basis(_pair_mul(_basis_to_pair(eye[i]), _basis_to_pair(eye[j])))
-    return m
+def _build_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J, S) with (x y)_k = sum_i x_i S[i, k] y_J[i, k], read off the
+    structure tensor that one batched doubling call over all unit pairs gives."""
+    eye = np.eye(2 ** level)
+    m = _pair_to_basis(_pair_mul(_basis_to_pair(eye[:, None]), _basis_to_pair(eye[None])))
+    j = np.argmax(m != 0.0, axis=1)
+    return j, np.take_along_axis(m, j[:, None], axis=1)[:, 0]
 
-_MUL_TENSOR = {2 ** level: _build_tensor(level) for level in LEVELS}
+_MUL_TABLE = {2 ** level: _build_table(level) for level in LEVELS}
+
+#: Rows per gather in ``mul_coeffs``: its (rows, dim, dim) buffer stays
+#: within 512 KiB however many rows a call has.
+MUL_BLOCK = 1024
 
 
 def mul_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient arrays; broadcasts over leading axes.
 
-    The shared trailing size, 2, 4 or 8, picks the algebra.  This is the
+    The shared trailing size, 2, 4 or 8, picks the algebra.  Each output
+    slot k is the signed gather sum_i a_i S[i, k] b_J[i, k]: dim^2
+    products per row (64 for octonions), summed in order of i.  The
+    broadcast rows run in blocks of MUL_BLOCK, so memory stays flat, and
+    each row of a batch rounds as that row alone does.  This is the
     batch-friendly kernel behind HyperComplex.__mul__.
     """
-    return np.einsum("...i,...j,ijk->...k", a, b, _MUL_TENSOR[np.shape(a)[-1]])
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 0 or a.shape[-1:] != b.shape[-1:] or a.shape[-1] not in _MUL_TABLE:
+        raise ContractViolationError(
+            f"factors need one trailing size, 2, 4 or 8; got shapes {a.shape} and {b.shape}"
+        )
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    dim = a.shape[-1]
+    table, sign = _MUL_TABLE[dim]
+    rows_a, rows_b = a.reshape(-1, dim), b.reshape(-1, dim)
+    out = np.empty(rows_a.shape)
+    for start in range(0, out.shape[0], MUL_BLOCK):
+        stop = start + MUL_BLOCK
+        gathered = rows_b[start:stop, table]
+        gathered *= sign
+        np.einsum("ni,nik->nk", rows_a[start:stop], gathered, out=out[start:stop])
+    return out.reshape(a.shape)
 
 
 def conj_coeffs(a: np.ndarray) -> np.ndarray:

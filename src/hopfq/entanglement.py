@@ -65,6 +65,14 @@ class DensityMatrix2:
             float((m[0, 0] - m[1, 1]).real),
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DensityMatrix2):
+            return NotImplemented
+        return bool(np.array_equal(self._matrix, other._matrix))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._matrix.ravel().tolist()))  # 0.0 and -0.0 hash alike
+
     def __repr__(self) -> str:
         return f"DensityMatrix2({np.array2string(self._matrix, separator=', ')})"
 

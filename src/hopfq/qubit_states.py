@@ -74,6 +74,14 @@ class PureState:
             index = 2 * index + b
         return complex(self._amplitudes[index])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PureState):
+            return NotImplemented
+        return bool(np.array_equal(self._amplitudes, other._amplitudes))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._amplitudes.tolist()))  # 0.0 and -0.0 hash alike
+
     def __repr__(self) -> str:
         return f"PureState({np.array2string(self._amplitudes, separator=', ')})"
 

@@ -15,6 +15,7 @@ from hopfq.division_algebra import (
     exp_imaginary,
     inverse,
     mul,
+    mul_coeffs,
     polar,
     polar_coeffs,
     scalar_part,
@@ -88,6 +89,22 @@ def test_level_one_is_complex_multiplication():
         za, zb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         prod = HyperComplex.from_complex(za) * HyperComplex.from_complex(zb)
         assert abs(prod.as_complex() - za * zb) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [
+        ((3,), (3,)),  # not an algebra size
+        ((5, 1), (5, 1)),
+        ((), ()),
+        ((4,), (8,)),  # two algebra sizes: a gather would return a * b[:4]
+        ((10, 8), (10, 4)),
+        ((2,), (4,)),
+    ],
+)
+def test_mul_coeffs_rejects_bad_trailing_sizes(shape_a, shape_b):
+    with pytest.raises(ContractViolationError):
+        mul_coeffs(np.ones(shape_a), np.ones(shape_b))
 
 
 def test_level_mismatch_rejected():

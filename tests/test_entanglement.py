@@ -101,6 +101,18 @@ def test_partial_trace_against_brute_force(keep):
         assert np.abs(rho - oracle).max() <= 1e-13
 
 
+def test_density_matrix_compares_and_hashes_by_value():
+    rho = partial_trace_keep(PureState.ghz(), 1)
+    same = partial_trace_keep(PureState.ghz(), 1)
+    assert rho == same and hash(rho) == hash(same)
+    assert rho != partial_trace_keep(PureState.w(), 1)
+    # 0.0 and -0.0 compare equal, so they hash alike
+    plus = DensityMatrix2([[1.0, 0.0], [0.0, 0.0]])
+    minus = DensityMatrix2([[1.0, -0.0], [complex(-0.0, -0.0), 0.0]])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert rho != [[0.5, 0.0], [0.0, 0.5]]
+
+
 def test_partial_trace_bad_index():
     with pytest.raises(ContractViolationError):
         partial_trace_keep(PureState.ghz(), 0)

@@ -11,11 +11,13 @@ and the minor-sum measure.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopfq.division_algebra import (
+    MUL_BLOCK,
     HyperComplex,
     exp_imaginary,
     exp_imaginary_coeffs,
@@ -225,16 +227,44 @@ def test_haar_rows_continue_the_per_state_stream(size, n):
     assert rows.shape == (size, 2 ** n)
 
 
+@pytest.mark.parametrize("rows", [1, ROWS, MUL_BLOCK - 1, MUL_BLOCK, MUL_BLOCK + 1, 2 * MUL_BLOCK + 1])
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_mul_coeffs_rows_equal_the_single_products(level):
-    """One einsum serves single elements and batches, and rounds each row of
-    a batch as it rounds that row alone (zero and real factors included)."""
-    a, b = np.random.default_rng(100 + level).standard_normal((2, ROWS, 2 ** level))
-    a[0] = b[1] = 0.0
-    a[2, 1:] = b[3, 1:] = a[4, 1:] = b[4, 1:] = 0.0
+def test_mul_coeffs_rows_equal_the_single_products(level, rows):
+    """One gather serves single elements and batches, and rounds each row of
+    a batch as it rounds that row alone (zero and real factors included),
+    on either side of a block boundary."""
+    a, b = np.random.default_rng(100 + level).standard_normal((2, rows, 2 ** level))
+    a[0:1] = b[1:2] = 0.0
+    a[2:3, 1:] = b[3:4, 1:] = a[4:5, 1:] = b[4:5, 1:] = 0.0
     products = mul_coeffs(a, b)
-    for k in range(ROWS):
+    for k in range(rows):
         assert np.array_equal(mul_coeffs(a[k], b[k]), products[k])
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((8, 1, 8), (1, 8, 8)), ((3, 8), (8,)), ((2, 3, 4), (4,))])
+def test_mul_coeffs_broadcasts_the_bilinear_extension(shape_a, shape_b):
+    """A broadcast product is the bilinear extension of the unit products
+    mul_coeffs(e_i, e_j), which the cycle-table tests pin, summed over i in order."""
+    rng = np.random.default_rng(105)
+    a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+    eye = np.eye(shape_a[-1])
+    units = np.array([[mul_coeffs(e_i, e_j) for e_j in eye] for e_i in eye])
+    expected = np.zeros(np.broadcast_shapes(shape_a, shape_b))
+    for i in range(eye.shape[0]):
+        expected = expected + a[..., i, None] * (b @ units[i])  # b @ units[i] is exact: +-b_j
+    assert np.array_equal(mul_coeffs(a, b), expected)
+
+
+def test_mul_coeffs_memory_stays_flat():
+    """The gather runs in blocks, so a long batch allocates little beyond its output."""
+    a, b = np.random.default_rng(104).standard_normal((2, 20000, 8))
+    tracemalloc.start()
+    try:
+        products = mul_coeffs(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= products.nbytes + 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -143,6 +143,19 @@ def test_pack_unpack_round_trip(n):
         assert np.abs(back.amplitudes - state.amplitudes).max() <= 1e-15
 
 
+def test_pure_state_compares_and_hashes_by_value():
+    s = PureState.ghz()
+    assert s == PureState.ghz() and hash(s) == hash(PureState.ghz())
+    assert unpack(pack(s)) == s
+    assert s != PureState.w()
+    # 0.0 and -0.0 compare equal, so they hash alike
+    plus, minus = PureState([0.0, 1.0]), PureState([-0.0, complex(1.0, -0.0)])
+    assert plus == minus and hash(plus) == hash(minus)
+    # the same amplitudes padded to another size are another state
+    assert PureState.basis("0") != PureState.basis("00")
+    assert PureState.basis("0") != (1.0, 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_packed_pair_norm(n):
     rng = np.random.default_rng(47 + n)
