@@ -4,7 +4,10 @@ Each suite draws its own deterministic sample, exercises one family of
 identities, and reports trial/failure counts plus the first (worst)
 counterexample.  Every suite runs batched through the coefficient kernels
 that the scalar public API wraps, and ``check --trials N`` runs N trials in
-each but ``algebra_cycle_table``, which always checks its 49 products.
+each but ``algebra_cycle_table``, which always checks its 49 products.  The
+two per-cut suites take their rows in blocks of MUL_BLOCK through the
+library's own cut path: ``cut_stack``, ``cut_entanglement``,
+``reduced_density`` and ``minor_sum``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,14 @@ from typing import Callable
 import numpy as np
 
 from . import entanglement
-from .division_algebra import CYCLES, conj_coeffs, mul_coeffs, row_dot
+from .division_algebra import CYCLES, MUL_BLOCK, conj_coeffs, mul_coeffs, row_dot
 from .hopf_maps import (
     base_coords, bloch_slots, coords_entanglement, inverse_coeffs, ratio_coeffs, state_coords,
     stereographic_coeffs,
 )
 from .qubit_states import (
-    CUTS,
     PureState,
-    cut_matrix,
+    cut_stack,
     det2,
     format_amplitudes,
     haar_amplitudes,
@@ -280,16 +282,22 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
     )
 
 
+def _per_cut_errors(amps: np.ndarray, errors_of) -> np.ndarray:
+    """``errors_of(block, cut_stack(block))`` over the rows of 3-qubit
+    amplitudes in blocks of MUL_BLOCK, so that no stack of all the rows'
+    cuts is ever held; each row's error is the one a whole batch gives."""
+    blocks = np.split(amps, range(MUL_BLOCK, amps.shape[0], MUL_BLOCK))
+    return np.concatenate([errors_of(block, cut_stack(block)) for block in blocks])
+
+
 def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
-    errors = np.zeros(trials)
-    # One cut at a time, which keeps this suite's memory at a third of a
-    # batch over all three cuts.
-    for cut in CUTS:
-        view = cut_matrix(amps, cut)
-        e_values = coords_entanglement(state_coords(view.reshape(-1, 8)))
-        rho = entanglement.reduced_density(view)
-        errors = np.maximum(errors, np.abs(e_values - 4.0 * det2(rho).real))
+
+    def errors_of(block, stack):
+        det_rho = det2(entanglement.reduced_density(stack)).real
+        return np.abs(entanglement.cut_entanglement(block) - 4.0 * det_rho).max(axis=-1)
+
+    errors = _per_cut_errors(amps, errors_of)
     return _result(
         "e_equals_4_det_rho", errors, IDENTITY_TOL,
         lambda k: format_amplitudes(amps[k]),
@@ -298,16 +306,14 @@ def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResu
 
 def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
-    e_sum = np.zeros(trials)
-    measure = np.zeros(trials)
-    # One cut at a time, which keeps the memory as low as in e_equals_4_det_rho.
+
     # minor_sum reads the normalization constant at call time: the suite is
     # the canary for a miscalibrated constant.
-    for cut in CUTS:
-        view = cut_matrix(amps, cut)
-        e_sum += coords_entanglement(state_coords(view.reshape(-1, 8)))
-        measure += entanglement.minor_sum(matrix_minors(view)[:, None])
-    errors = np.abs(measure - e_sum / 3.0)
+    def errors_of(block, stack):
+        e_avg = np.mean(entanglement.cut_entanglement(block), axis=-1)
+        return np.abs(entanglement.minor_sum(matrix_minors(stack)) - e_avg)
+
+    errors = _per_cut_errors(amps, errors_of)
     for k in range(min(trials, 100)):
         state = PureState(amps[k])
         errors[k] = max(

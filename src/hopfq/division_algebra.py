@@ -284,7 +284,10 @@ class HyperComplex:
         if isinstance(other, HyperComplex):
             # left and right quotients differ; force an explicit choice
             raise TypeError("divide via a * b.inverse() or b.inverse() * a")
-        return HyperComplex(self._level, self._coeffs / float(other))
+        divisor = float(other)
+        if divisor == 0.0:
+            raise ZeroDivisionError("division of an element by zero")
+        return HyperComplex(self._level, self._coeffs / divisor)
 
     def conj(self) -> "HyperComplex":
         return HyperComplex(self._level, conj_coeffs(self._coeffs))
@@ -362,9 +365,8 @@ class PolarForm:
             raise ContractViolationError("axis must be unit and purely imaginary")
 
     def reconstruct(self) -> HyperComplex:
-        c = math.cos(self.angle) * HyperComplex.one(self.axis.level)
-        s = math.sin(self.angle) * self.axis
-        return self.magnitude * (c + s)
+        coeffs = self.magnitude * exp_imaginary_coeffs(self.axis.coeffs, self.angle)
+        return HyperComplex(self.axis.level, coeffs)
 
 
 def polar_coeffs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

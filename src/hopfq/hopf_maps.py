@@ -26,7 +26,10 @@ cos(W) = sqrt((1 + X_last)/2).
 Each map is written once, as a kernel on coefficient arrays that
 broadcasts over leading axes (``base_coords``, ``ratio_coeffs``,
 ``stereographic_coeffs``, ``inverse_coeffs``); the functions on
-``PureState`` and ``BasePoint`` wrap it.
+``PureState`` and ``BasePoint`` wrap it.  The fiber chart, the inverse map
+and the descent also compute on arrays (``pack_coeffs`` and the
+``division_algebra`` kernels) and build ``PureState``, ``BasePoint`` and
+``HyperComplex`` values only for what they return.
 """
 
 from __future__ import annotations
@@ -38,19 +41,10 @@ from typing import Union
 import numpy as np
 
 from .division_algebra import (
-    HyperComplex, conj_coeffs, exp_imaginary, exp_imaginary_coeffs, mul_coeffs, polar_coeffs,
-    row_dot,
+    HyperComplex, conj_coeffs, dim_of, exp_imaginary_coeffs, mul_coeffs, polar_coeffs, row_dot,
 )
 from .errors import ContractViolationError, SeparabilityError
-from .qubit_states import (
-    AlgebraPair,
-    PureState,
-    first_qubit_matrix,
-    pack,
-    pack_coeffs,
-    split_residual,
-    unpack,
-)
+from .qubit_states import PureState, first_qubit_matrix, pack_coeffs, split_residual, unpack_coeffs
 from .tolerances import ABS_TOL, AXIS_TOL, INFINITY_NORM_SQ, SEPARABILITY_TOL, UNIT_INPUT_TOL
 
 _DIM_TO_LEVEL = {3: 1, 5: 2, 9: 3}
@@ -210,10 +204,11 @@ def stereographic_inverse(value: ExtendedValue, level: int | None = None) -> Bas
     if is_infinite(value):
         if level is None:
             raise ContractViolationError("level is required to place infinity")
-        first, second = HyperComplex.one(level), HyperComplex.zero(level)
+        one = np.eye(dim_of(level))[0]
+        first, second = one, np.zeros_like(one)
     else:
-        first, second = value, HyperComplex.one(value.level)
-    coords = base_coords(first.coeffs, second.coeffs)
+        first, second = value.coeffs, np.eye(value.coeffs.shape[0])[0]
+    coords = base_coords(first, second)
     return BasePoint(coords / np.linalg.norm(coords))
 
 
@@ -277,48 +272,50 @@ def hopf_inverse(base: BasePoint, fiber: HyperComplex) -> PureState:
         raise ContractViolationError("fiber must be an octonion")
     if not abs(fiber.norm_sq() - 1.0) <= UNIT_INPUT_TOL:
         raise ContractViolationError("fiber must be a unit octonion")
-    first, second = inverse_coeffs(base.coords, fiber.coeffs)
-    return unpack(AlgebraPair(HyperComplex(3, first), HyperComplex(3, second)))
+    return PureState(unpack_coeffs(*inverse_coeffs(base.coords, fiber.coeffs)))
 
 
 def fiber_chart(state: PureState) -> FiberChart:
     """Extract (omega, theta, axis, fiber) of a 3-qubit state."""
     if state.n != 3:
         raise ContractViolationError("fiber_chart expects a 3-qubit state")
-    pair = pack(state)
-    o1, o2 = pair.first, pair.second
-    omega = math.acos(max(-1.0, min(1.0, o1.norm())))
-    value, at_infinity = ratio_coeffs(o1.coeffs, o2.coeffs)
+    o1, o2 = pack_coeffs(state.amplitudes)
+    norm1, norm2 = np.sqrt(row_dot(o1, o1)), np.sqrt(row_dot(o2, o2))
+    value, at_infinity = ratio_coeffs(o1, o2)
     _, theta, axis = polar_coeffs(value)  # (0, i1) at infinity, where the value is 0
-    axis = HyperComplex(3, axis)
-    fiber = o1 / o1.norm() if at_infinity else exp_imaginary(axis, theta / 2.0) * (o2 / o2.norm())
-    return FiberChart(omega=omega, theta=float(theta), axis=axis, fiber=fiber)
+    if at_infinity:
+        fiber = o1 / norm1
+    else:
+        fiber = mul_coeffs(exp_imaginary_coeffs(axis, theta / 2.0), o2 / norm2)
+    return FiberChart(
+        omega=math.acos(max(-1.0, min(1.0, norm1))), theta=float(theta),
+        axis=HyperComplex(3, axis), fiber=HyperComplex(3, fiber),
+    )
 
 
 def state_from_chart(chart: FiberChart) -> PureState:
     """Rebuild the state encoded by a fiber chart."""
-    first, second = _fiber_pair(
+    return PureState(unpack_coeffs(*_fiber_pair(
         math.cos(chart.omega), math.sin(chart.omega), chart.theta,
         chart.axis.coeffs, chart.fiber.coeffs,
-    )
-    return unpack(AlgebraPair(HyperComplex(3, first), HyperComplex(3, second)))
+    )))
 
 
 # ---------------------------------------------------------------------------
 # Fiber decomposition and the iterated chain
 # ---------------------------------------------------------------------------
 
-def _split_step(matrix: np.ndarray, coords: np.ndarray) -> tuple[BasePoint, PureState]:
-    """Bloch point and factor of a first-qubit matrix whose rows are parallel
-    (within tol), from the state's base coordinates.  The factor is the
-    normalized dominant row, phased so its first nonzero amplitude is real
-    positive."""
+def _split_step(matrix: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Bloch coordinates, factor amplitudes) of a first-qubit matrix whose
+    rows are parallel (within tol), from the state's base coordinates.  The
+    factor is the normalized dominant row, phased so its first nonzero
+    amplitude is real positive."""
     row = matrix[int(np.argmax(np.linalg.norm(matrix, axis=1)))]
     row = row / np.linalg.norm(row)
     lead = row[np.argmax(np.abs(row) > ABS_TOL)]
     row = row * (abs(lead) / lead)
     bloch = bloch_slots(coords)
-    return BasePoint(bloch / np.linalg.norm(bloch)), PureState(row / np.linalg.norm(row))
+    return bloch / np.linalg.norm(bloch), row / np.linalg.norm(row)
 
 
 def fiber_decompose(
@@ -338,7 +335,9 @@ def fiber_decompose(
         raise SeparabilityError(
             f"state is entangled across cut 1: max residual {residual:.3e}"
         )
-    return _split_step(first_qubit_matrix(state.amplitudes), state_coords(state.amplitudes))
+    amplitudes = state.amplitudes
+    bloch, factor = _split_step(first_qubit_matrix(amplitudes), state_coords(amplitudes))
+    return BasePoint(bloch), PureState(factor)
 
 
 @dataclass(frozen=True)
@@ -390,10 +389,10 @@ def descend(
         if not separable:
             return IteratedReport(tuple(stages), tuple(bloch_points), False)
         bloch, factor = _split_step(matrix, base.coords)
-        bloch_points.append(bloch)
-        matrix = first_qubit_matrix(factor.amplitudes)
-        base = BasePoint(state_coords(factor.amplitudes))
-        residual = split_residual(factor.amplitudes) if factor.n > 1 else 0.0
+        bloch_points.append(BasePoint(bloch))
+        matrix = first_qubit_matrix(factor)
+        base = BasePoint(state_coords(factor))
+        residual = split_residual(factor) if factor.size > 2 else 0.0
     stages.append(ChainStage(1, base, 0.0, True, False))
     bloch_points.append(base)
     return IteratedReport(tuple(stages), tuple(bloch_points), True)

@@ -272,13 +272,6 @@ def first_qubit_matrix(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.reshape(amplitudes.shape[:-1] + (2, -1))
 
 
-def cut_matrix(amplitudes: np.ndarray, cut: int) -> np.ndarray:
-    """(..., 2, 4) matrices of 3-qubit amplitudes with the cut qubit first."""
-    if cut not in CUTS:
-        raise ContractViolationError(f"cut must be one of {CUTS}, got {cut}")
-    return first_qubit_matrix(np.take(amplitudes, _CUT_ORDER[cut - 1], axis=-1))
-
-
 def cut_stack(amplitudes: np.ndarray) -> np.ndarray:
     """(..., c, 2, 2**(n-1)) first-qubit matrices of (..., 2**n) amplitudes:
     the three cuts of 3 qubits (c = 3), the state itself for 1 or 2 (c = 1)."""
@@ -301,13 +294,16 @@ def split_residual(amplitudes: np.ndarray) -> float:
 
 
 def reshape_matrix(state: PureState, cut: int) -> np.ndarray:
-    """2x4 matrix of a 3-qubit state with the cut qubit as the row index.
+    """2x4 matrix of a 3-qubit state with the cut qubit as the row index:
+    row ``cut - 1`` of its ``cut_stack``.
 
     Columns run over the remaining two qubits in their original order.
     """
     if state.n != 3:
         raise ContractViolationError("reshape_matrix requires a 3-qubit state")
-    return cut_matrix(state.amplitudes, cut)
+    if cut not in CUTS:
+        raise ContractViolationError(f"cut must be one of {CUTS}, got {cut}")
+    return cut_stack(state.amplitudes)[cut - 1]
 
 
 def cut_state(state: PureState, cut: int) -> PureState:

@@ -1,5 +1,7 @@
 """The self-test suites themselves pass and report sensibly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from hopfq.checks import (
     run_all,
     suite_algebra_cycle_table,
     suite_base_normalization,
+    suite_e_equals_4_det_rho,
     suite_fibration_round_trip,
     suite_minor_measure_equals_e_avg,
 )
-from hopfq.qubit_states import format_amplitudes, haar_amplitudes
+from hopfq.entanglement import cut_entanglement, minor_sum, reduced_density
+from hopfq.qubit_states import cut_stack, det2, format_amplitudes, haar_amplitudes, matrix_minors
 
 
 def test_all_suites_pass():
@@ -146,3 +150,52 @@ def test_a_nan_error_is_a_failure(monkeypatch):
     assert result.failures == 1
     assert np.isnan(result.max_error)
     assert result.counterexample == format_amplitudes(nan_rows[0])
+
+
+PER_CUT_SUITES = [suite_e_equals_4_det_rho, suite_minor_measure_equals_e_avg]
+
+
+def suite_row_errors(monkeypatch, suite, trials, seed):
+    """The per-row errors that ``suite`` hands to its result."""
+    seen = []
+    result = hopfq.checks._result
+
+    def capture(name, errors, tol, describe_row):
+        seen.append(np.array(errors))
+        return result(name, errors, tol, describe_row)
+
+    monkeypatch.setattr(hopfq.checks, "_result", capture)
+    assert suite(trials, np.random.default_rng(seed)).passed
+    return seen[0]
+
+
+@pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2049])
+def test_per_cut_suites_in_blocks_equal_a_whole_batch(monkeypatch, trials):
+    # The suites run MUL_BLOCK = 1024 rows at a time; the reference holds
+    # every row's three cuts at once.
+    amps = haar_amplitudes(np.random.default_rng(9), 3, trials)
+    stack = cut_stack(amps)
+    e_values = cut_entanglement(amps)
+    det_errors = np.abs(e_values - 4.0 * det2(reduced_density(stack)).real).max(axis=-1)
+    minor_errors = np.abs(minor_sum(matrix_minors(stack)) - np.mean(e_values, axis=-1))
+    got = suite_row_errors(monkeypatch, suite_e_equals_4_det_rho, trials, 9)
+    assert np.array_equal(got, det_errors)
+    got = suite_row_errors(monkeypatch, suite_minor_measure_equals_e_avg, trials, 9)
+    assert np.array_equal(got, minor_errors)
+
+
+@pytest.mark.parametrize("suite", PER_CUT_SUITES, ids=lambda suite: suite.__name__)
+def test_per_cut_suites_hold_no_stack_of_every_row(suite):
+    # The draw itself peaks at three amplitude batches (the normals, a
+    # complex temporary and the state rows); a stack of all three cuts of
+    # every row would add another three.
+    trials = 20000
+    amps_nbytes = trials * 8 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        result = suite(trials, np.random.default_rng(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 3 * amps_nbytes + 2 * 2 ** 20

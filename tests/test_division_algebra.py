@@ -163,6 +163,30 @@ def test_inverse_of_zero_raises():
         inverse(HyperComplex.zero(3))
 
 
+@pytest.mark.parametrize(
+    "zero", [0, 0.0, -0.0, np.float64(0.0)], ids=["int", "float", "minus", "numpy"]
+)
+def test_division_by_a_zero_scalar_raises(zero):
+    # Like inverse() and polar() of zero: no RuntimeWarning, no inf/nan element.
+    with pytest.raises(ZeroDivisionError):
+        HyperComplex.one(3) / zero
+    with pytest.raises(ZeroDivisionError):
+        HyperComplex.zero(1) / zero
+    assert coeffs_close(HyperComplex.one(3) / 4, HyperComplex.from_real(3, 0.25), tol=0.0)
+
+
+def test_is_unit_and_is_imaginary():
+    assert HyperComplex.one(3).is_unit() and unit(5).is_unit()
+    assert not (2.0 * unit(5)).is_unit() and not HyperComplex.zero(2).is_unit()
+    near = HyperComplex(3, [1.0 + 1e-13] + [0.0] * 7)
+    assert near.is_unit() and not near.is_unit(tol=0.0)
+    assert unit(3).is_imaginary() and HyperComplex.zero(3).is_imaginary()
+    assert not HyperComplex.one(3).is_imaginary()
+    assert not HyperComplex(3, [1.0, 1.0, 0, 0, 0, 0, 0, 0]).is_imaginary()
+    tilted = HyperComplex(2, [1e-13, 1.0, 0.0, 0.0])
+    assert tilted.is_imaginary() and not tilted.is_imaginary(tol=0.0)
+
+
 def test_no_zero_divisors():
     rng = np.random.default_rng(17)
     for _ in range(2000):

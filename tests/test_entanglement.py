@@ -22,8 +22,8 @@ from hopfq.entanglement import (
     separability_conditions,
 )
 from hopfq.errors import ContractViolationError
-from hopfq.hopf_maps import hopf_base
-from hopfq.qubit_states import PureState, cut_state, reshape_matrix, tensor
+from hopfq.hopf_maps import bloch_slots, hopf_base, state_coords
+from hopfq.qubit_states import PureState, cut_stack, cut_state, reshape_matrix, tensor
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -148,6 +148,38 @@ def test_bloch_density_equals_partial_trace(n):
             m = state.amplitudes.reshape(2, -1)
             expected = m @ m.conj().T
         assert np.abs(rho - expected).max() <= 1e-10
+
+
+# A few ulps: rho's diagonal holds (1 +- z)/2, and a partial trace is M M^dagger,
+# not the octonion product behind the base coordinates.
+BLOCH_ULPS = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_density_bloch_of_bloch_density_is_the_bloch_slots(n):
+    rng = np.random.default_rng(191 + n)
+    for _ in range(200):
+        base = hopf_base(haar_state(rng, n))
+        got = np.array(bloch_density(base).bloch())
+        assert np.abs(got - bloch_slots(base.coords)).max() <= BLOCH_ULPS
+
+
+def test_partial_trace_bloch_is_the_bloch_slots_of_its_cut():
+    rng = np.random.default_rng(194)
+    for _ in range(200):
+        state = haar_state(rng, 3)
+        stack = cut_stack(state.amplitudes)
+        for keep in (1, 2, 3):
+            got = np.array(partial_trace_keep(state, keep).bloch())
+            want = bloch_slots(state_coords(stack[keep - 1].reshape(-1)))
+            assert np.abs(got - want).max() <= BLOCH_ULPS
+
+
+def test_density_bloch_of_ghz_is_the_origin():
+    ghz = PureState.ghz()
+    for keep in (1, 2, 3):
+        assert partial_trace_keep(ghz, keep).bloch() == (0.0, 0.0, 0.0)
+    assert bloch_density(hopf_base(ghz)).bloch() == (0.0, 0.0, 0.0)
 
 
 def test_bloch_density_cuts_2_and_3():

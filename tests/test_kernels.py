@@ -51,7 +51,6 @@ from hopfq.hopf_maps import (
 from hopfq.qubit_states import (
     CUTS,
     PureState,
-    cut_matrix,
     cut_stack,
     first_qubit_matrix,
     haar_amplitudes,
@@ -273,8 +272,9 @@ def test_cut_stack_is_the_cut_matrices_or_the_state(n):
     stack = cut_stack(rows)
     assert stack.shape == (ROWS, 3 if n == 3 else 1, 2, 2 ** (n - 1))
     for amps, matrices in zip(rows, stack):
-        if n == 3:
-            want = np.stack([cut_matrix(amps, cut) for cut in CUTS])
+        if n == 3:  # the cut qubit's axis moved to the front of the 2x2x2 cube
+            cube = amps.reshape(2, 2, 2)
+            want = np.stack([np.moveaxis(cube, cut - 1, 0).reshape(2, 4) for cut in CUTS])
         else:
             want = first_qubit_matrix(amps)[None]
         assert np.array_equal(cut_stack(amps), want)

@@ -13,8 +13,8 @@ from hopfq.qubit_states import (
     CUTS,
     AlgebraPair,
     PureState,
-    cut_matrix,
     cut_minors,
+    cut_stack,
     cut_state,
     det2,
     format_amplitudes,
@@ -280,8 +280,9 @@ def test_reshape_cut_ordering():
 
 
 def test_reshape_bad_cut():
-    with pytest.raises(ContractViolationError):
-        reshape_matrix(PureState.ghz(), 4)
+    for cut in (0, 4, CUTS):  # one cut at a time: the tuple of all three is no cut
+        with pytest.raises(ContractViolationError):
+            reshape_matrix(PureState.ghz(), cut)
     with pytest.raises(ContractViolationError):
         reshape_matrix(PureState.bell00(), 1)
 
@@ -404,21 +405,17 @@ def random_batch(rng, shape):
 
 
 @pytest.mark.parametrize("cut", [1, 2, 3])
-def test_cut_matrix_matches_transpose_form(cut):
+def test_cut_stack_matches_transpose_form(cut):
     rng = np.random.default_rng(80 + cut)
     amps = random_batch(rng, (40, 8))
     axes = (0,) + tuple(a + 1 for a in _CUT_TRANSPOSE[cut])
     want = amps.reshape(-1, 2, 2, 2).transpose(axes).reshape(-1, 2, 4)
-    assert np.array_equal(cut_matrix(amps, cut), want)
-    assert np.array_equal(cut_matrix(amps.reshape(5, 8, 8), cut), want.reshape(5, 8, 2, 4))
+    assert np.array_equal(cut_stack(amps)[:, cut - 1], want)
+    stacks = cut_stack(amps.reshape(5, 8, 8))
+    assert np.array_equal(stacks[:, :, cut - 1], want.reshape(5, 8, 2, 4))
     for row, matrix in zip(amps, want):
+        assert np.array_equal(cut_stack(row)[cut - 1], matrix)
         assert np.array_equal(reshape_matrix(PureState(row), cut), matrix)
-
-
-def test_cut_matrix_rejects_bad_cut():
-    for cut in (0, 4, CUTS):  # one cut at a time: the tuple of all three is no cut
-        with pytest.raises(ContractViolationError):
-            cut_matrix(np.zeros(8, dtype=complex), cut)
 
 
 def test_det2_single_matrix_is_the_scalar_formula():
