@@ -287,6 +287,14 @@ def test_reshape_bad_cut():
         reshape_matrix(PureState.bell00(), 1)
 
 
+def test_cut_matrix_rejects_bad_cut():
+    # Every scalar entry point that picks one cut matrix checks the cut.
+    state = PureState.basis("000")
+    for pick in (reshape_matrix, cut_state, cut_minors):
+        with pytest.raises(ContractViolationError):
+            pick(state, 0)
+
+
 def test_cut_state_moves_qubit_to_front():
     state = PureState.basis("011")
     assert cut_state(state, 2).amplitude(1, 0, 1) == 1.0
