@@ -6,8 +6,8 @@ counterexample.  Every suite runs batched through the coefficient kernels
 that the scalar public API wraps, and ``check --trials N`` runs N trials in
 each but ``algebra_cycle_table``, which always checks its 49 products.  The
 two per-cut suites take their rows in blocks of MUL_BLOCK through the
-library's own cut path: ``cut_stack``, ``cut_entanglement``,
-``reduced_density`` and ``minor_sum``.
+library's own cut path: each block's ``cut_stack``, built once, feeds
+``stack_entanglement``, ``reduced_density`` and ``minor_sum``.
 """
 
 from __future__ import annotations
@@ -283,19 +283,19 @@ def suite_separability_sensitivity(trials: int, rng: np.random.Generator) -> Sui
 
 
 def _per_cut_errors(amps: np.ndarray, errors_of) -> np.ndarray:
-    """``errors_of(block, cut_stack(block))`` over the rows of 3-qubit
-    amplitudes in blocks of MUL_BLOCK, so that no stack of all the rows'
-    cuts is ever held; each row's error is the one a whole batch gives."""
+    """``errors_of(cut_stack(block))`` over the rows of 3-qubit amplitudes in
+    blocks of MUL_BLOCK, so that no stack of all the rows' cuts is ever
+    held; each row's error is the one a whole batch gives."""
     blocks = np.split(amps, range(MUL_BLOCK, amps.shape[0], MUL_BLOCK))
-    return np.concatenate([errors_of(block, cut_stack(block)) for block in blocks])
+    return np.concatenate([errors_of(cut_stack(block)) for block in blocks])
 
 
 def suite_e_equals_4_det_rho(trials: int, rng: np.random.Generator) -> SuiteResult:
     amps = haar_amplitudes(rng, 3, trials)
 
-    def errors_of(block, stack):
+    def errors_of(stack):
         det_rho = det2(entanglement.reduced_density(stack)).real
-        return np.abs(entanglement.cut_entanglement(block) - 4.0 * det_rho).max(axis=-1)
+        return np.abs(entanglement.stack_entanglement(stack) - 4.0 * det_rho).max(axis=-1)
 
     errors = _per_cut_errors(amps, errors_of)
     return _result(
@@ -309,8 +309,8 @@ def suite_minor_measure_equals_e_avg(trials: int, rng: np.random.Generator) -> S
 
     # minor_sum reads the normalization constant at call time: the suite is
     # the canary for a miscalibrated constant.
-    def errors_of(block, stack):
-        e_avg = np.mean(entanglement.cut_entanglement(block), axis=-1)
+    def errors_of(stack):
+        e_avg = np.mean(entanglement.stack_entanglement(stack), axis=-1)
         return np.abs(entanglement.minor_sum(matrix_minors(stack)) - e_avg)
 
     errors = _per_cut_errors(amps, errors_of)

@@ -18,11 +18,13 @@ import sys
 import numpy as np
 
 from . import checks
-from .entanglement import classify_cuts, cut_entanglement, reduced_density, separability_2qubit
+from .division_algebra import MUL_BLOCK
+from .entanglement import classify_cuts, cut_entanglement, reduced_density
 from .errors import ContractViolationError
 from .hopf_maps import base_coords, coords_entanglement, descend, ratio_coeffs, state_coords
 from .qubit_states import (
     CUTS,
+    QUBIT_COUNTS,
     PureState,
     cut_stack,
     format_amplitudes,
@@ -31,6 +33,7 @@ from .qubit_states import (
     matrix_minors,
     pack_coeffs,
     parse_amplitudes,
+    split_residual,
 )
 from .tolerances import CLI_NORM_ACCEPT, SEPARABILITY_TOL
 
@@ -38,9 +41,6 @@ EXIT_OK = 0
 EXIT_INVARIANT_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_CONTRACT_VIOLATION = 3
-
-#: States per block of ``sample``; blocks keep its memory flat in the count.
-SAMPLE_BLOCK = 1024
 
 
 def _fmt_vec(values) -> str:
@@ -72,8 +72,7 @@ def _load_state(spec: str, renormalize: bool) -> PureState:
 # ---------------------------------------------------------------------------
 
 def _analyze_three(matrices, coords, tol: float, lines: list[str]) -> None:
-    minors = matrix_minors(matrices)
-    report = classify_cuts(minors, coords_entanglement(coords), tol)
+    report = classify_cuts(matrix_minors(matrices), coords_entanglement(coords), tol)
     lines.append("entanglement:")
     for cut, e in zip(CUTS, report.e_per_cut):
         lines.append(f"  e cut {cut}: {_fmt(e)}")
@@ -82,7 +81,7 @@ def _analyze_three(matrices, coords, tol: float, lines: list[str]) -> None:
     lines.append(f"  classification: {report.classification}")
     for cut, res in zip(CUTS, report.residuals_per_cut):
         lines.append(f"  residuals cut {cut}: {_fmt_vec(res)}")
-    chain = descend(matrices[0], coords[0], float(np.abs(minors[0]).max()), tol)
+    chain = descend(matrices[0], coords[0], tol)
     lines.append("chain:")
     for index, stage in enumerate(chain.stages, start=1):
         sep = "yes" if stage.separable else "no"
@@ -96,8 +95,8 @@ def _analyze_three(matrices, coords, tol: float, lines: list[str]) -> None:
         lines.append("  bloch points: none")
 
 
-def _analyze_two(state: PureState, coords: np.ndarray, tol: float, lines: list[str]) -> None:
-    residual = separability_2qubit(state)
+def _analyze_two(matrix: np.ndarray, coords: np.ndarray, tol: float, lines: list[str]) -> None:
+    residual = split_residual(matrix)
     lines.append("entanglement:")
     lines.append(f"  e: {_fmt(float(coords_entanglement(coords)))}")
     lines.append(f"  residual: {_fmt(residual)}")
@@ -135,7 +134,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if state.n == 3:
         _analyze_three(matrices, coords, args.tol, lines)
     elif state.n == 2:
-        _analyze_two(state, coords[0], args.tol, lines)
+        _analyze_two(matrices[0], coords[0], args.tol, lines)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -180,8 +179,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError("--histogram must be at least 0")
     rng = np.random.default_rng(args.seed)
     values = np.empty(args.count)
-    for start in range(0, args.count, SAMPLE_BLOCK):
-        block = haar_amplitudes(rng, args.n, min(SAMPLE_BLOCK, args.count - start))
+    # Blocks keep memory flat in the count; the output does not depend on their size.
+    for start in range(0, args.count, MUL_BLOCK):
+        block = haar_amplitudes(rng, args.n, min(MUL_BLOCK, args.count - start))
         values[start : start + block.shape[0]] = cut_entanglement(block).mean(axis=-1)
     if args.histogram:
         edges = np.linspace(0.0, 1.0, args.histogram + 1)
@@ -262,13 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coords = sub.add_parser("coords", help="base coordinates of a state")
     add_state_options(p_coords)
-    p_coords.add_argument("--cut", type=int, default=1, choices=(1, 2, 3),
+    p_coords.add_argument("--cut", type=int, default=1, choices=CUTS,
                           help="qubit moved to the base role (3-qubit states)")
     p_coords.add_argument("--csv", action="store_true", help="emit CSV rows")
     p_coords.set_defaults(fn=cmd_coords)
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo entanglement statistics")
-    p_sample.add_argument("n", type=int, choices=(1, 2, 3), help="qubit count")
+    p_sample.add_argument("n", type=int, choices=QUBIT_COUNTS, help="qubit count")
     p_sample.add_argument("count", type=int, help="number of Haar-random samples")
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--histogram", type=int, default=0, metavar="BINS",

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ContractViolationError
 from .hopf_maps import BasePoint, bloch_slots, coords_entanglement, state_coords
 from .qubit_states import (
-    CUTS, PureState, cut_minors, cut_stack, det2, matrix_minors, reshape_matrix, split_residual,
+    CUTS, PureState, cut_minors, cut_stack, det2, first_qubit_matrix, matrix_minors,
+    reshape_matrix, split_residual,
 )
 from .tolerances import ABS_TOL, SEPARABILITY_TOL
 
@@ -103,12 +104,16 @@ def bloch_density(base: BasePoint) -> DensityMatrix2:
 # Measures
 # ---------------------------------------------------------------------------
 
+def stack_entanglement(stack: np.ndarray) -> np.ndarray:
+    """Per-cut E of a (..., c, 2, k) cut stack, shape (..., c); broadcasts."""
+    return coords_entanglement(state_coords(stack.reshape(stack.shape[:-2] + (-1,))))
+
+
 def cut_entanglement(amplitudes: np.ndarray) -> np.ndarray:
     """Per-cut E of (..., 2**n) amplitude arrays; broadcasts.  Three qubits
     give (..., 3) for cuts 1, 2, 3; one and two qubits give (..., 1) for the
     first qubit (0 for a single qubit, which has no partner)."""
-    stack = cut_stack(np.asarray(amplitudes, dtype=complex))
-    return coords_entanglement(state_coords(stack.reshape(stack.shape[:-2] + (-1,))))
+    return stack_entanglement(cut_stack(np.asarray(amplitudes, dtype=complex)))
 
 
 def e_hopf(state: PureState, cut: int) -> float:
@@ -154,7 +159,7 @@ def separability_2qubit(state: PureState) -> float:
     """|alpha0*beta1 - alpha1*beta0| of a 2-qubit state; 0 iff separable."""
     if state.n != 2:
         raise ContractViolationError("separability_2qubit expects a 2-qubit state")
-    return split_residual(state.amplitudes)
+    return split_residual(first_qubit_matrix(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +193,8 @@ def classify(state: PureState, tol: float = SEPARABILITY_TOL) -> EntanglementRep
     """
     if state.n != 3:
         raise ContractViolationError("classify expects a 3-qubit state")
-    minors = matrix_minors(cut_stack(state.amplitudes))
-    return classify_cuts(minors, cut_entanglement(state.amplitudes), tol)
+    stack = cut_stack(state.amplitudes)
+    return classify_cuts(matrix_minors(stack), stack_entanglement(stack), tol)
 
 
 def classify_cuts(minors, e_per_cut, tol: float = SEPARABILITY_TOL) -> EntanglementReport:

@@ -41,13 +41,14 @@ from typing import Union
 import numpy as np
 
 from .division_algebra import (
-    HyperComplex, conj_coeffs, dim_of, exp_imaginary_coeffs, mul_coeffs, polar_coeffs, row_dot,
+    LEVELS, HyperComplex, conj_coeffs, dim_of, exp_imaginary_coeffs, mul_coeffs, polar_coeffs,
+    row_dot,
 )
 from .errors import ContractViolationError, SeparabilityError
 from .qubit_states import PureState, first_qubit_matrix, pack_coeffs, split_residual, unpack_coeffs
 from .tolerances import ABS_TOL, AXIS_TOL, INFINITY_NORM_SQ, SEPARABILITY_TOL, UNIT_INPUT_TOL
 
-_DIM_TO_LEVEL = {3: 1, 5: 2, 9: 3}
+_DIM_TO_LEVEL = {dim_of(level) + 1: level for level in LEVELS}
 
 
 class BasePoint:
@@ -146,11 +147,6 @@ def coords_entanglement(coords: np.ndarray) -> np.ndarray:
     return np.clip(row_dot(middle, middle), 0.0, 1.0)
 
 
-def base_entanglement(base: BasePoint) -> float:
-    """Squared norm of the entanglement-sensitive coordinates, in [0, 1]."""
-    return float(coords_entanglement(base.coords))
-
-
 def _divide_finite(numerator: np.ndarray, denom, at_infinity) -> np.ndarray:
     """numerator / denom per row, and zeros on the rows at infinity."""
     finite = ~at_infinity[..., None]
@@ -206,6 +202,8 @@ def stereographic_inverse(value: ExtendedValue, level: int | None = None) -> Bas
             raise ContractViolationError("level is required to place infinity")
         one = np.eye(dim_of(level))[0]
         first, second = one, np.zeros_like(one)
+    elif level not in (None, value.level):
+        raise ContractViolationError(f"level {level} contradicts a value of level {value.level}")
     else:
         first, second = value.coeffs, np.eye(value.coeffs.shape[0])[0]
     coords = base_coords(first, second)
@@ -330,13 +328,11 @@ def fiber_decompose(
     """
     if state.n != 3:
         raise ContractViolationError("fiber_decompose expects a 3-qubit state")
-    residual = split_residual(state.amplitudes)
+    matrix = first_qubit_matrix(state.amplitudes)
+    residual = split_residual(matrix)
     if residual > tol:
-        raise SeparabilityError(
-            f"state is entangled across cut 1: max residual {residual:.3e}"
-        )
-    amplitudes = state.amplitudes
-    bloch, factor = _split_step(first_qubit_matrix(amplitudes), state_coords(amplitudes))
+        raise SeparabilityError(f"state is entangled across cut 1: max residual {residual:.3e}")
+    bloch, factor = _split_step(matrix, state_coords(state.amplitudes))
     return BasePoint(bloch), PureState(factor)
 
 
@@ -369,30 +365,27 @@ def iterated_analysis(state: PureState, tol: float = SEPARABILITY_TOL) -> Iterat
     """
     if state.n != 3:
         raise ContractViolationError("iterated_analysis expects a 3-qubit state")
-    amplitudes = state.amplitudes
-    return descend(
-        first_qubit_matrix(amplitudes), state_coords(amplitudes), split_residual(amplitudes), tol
-    )
+    return descend(first_qubit_matrix(state.amplitudes), state_coords(state.amplitudes), tol)
 
 
 def descend(
-    matrix: np.ndarray, coords: np.ndarray, residual: float, tol: float = SEPARABILITY_TOL
+    matrix: np.ndarray, coords: np.ndarray, tol: float = SEPARABILITY_TOL
 ) -> IteratedReport:
-    """``iterated_analysis`` from the first-qubit matrix, base coordinates and
-    split residual of the state, for callers that already hold them."""
+    """``iterated_analysis`` from the state's first-qubit matrix and base
+    coordinates; each stage reads its split residual off its own matrix."""
     stages: list[ChainStage] = []
     bloch_points: list[BasePoint] = []
     base = BasePoint(coords)
     while base.level > 1:
-        separable = residual <= tol
-        stages.append(ChainStage(base.level, base, base_entanglement(base), separable, separable))
+        separable = split_residual(matrix) <= tol
+        e_value = float(coords_entanglement(base.coords))
+        stages.append(ChainStage(base.level, base, e_value, separable, separable))
         if not separable:
             return IteratedReport(tuple(stages), tuple(bloch_points), False)
         bloch, factor = _split_step(matrix, base.coords)
         bloch_points.append(BasePoint(bloch))
         matrix = first_qubit_matrix(factor)
         base = BasePoint(state_coords(factor))
-        residual = split_residual(factor) if factor.size > 2 else 0.0
     stages.append(ChainStage(1, base, 0.0, True, False))
     bloch_points.append(base)
     return IteratedReport(tuple(stages), tuple(bloch_points), True)

@@ -26,11 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .division_algebra import HyperComplex, row_dot
+from .division_algebra import LEVELS, HyperComplex, dim_of, row_dot
 from .errors import ContractViolationError, UnsupportedSizeError
 from .tolerances import ABS_TOL, STATE_NORM_TOL, UNIT_INPUT_TOL
 
-QUBIT_COUNTS = (1, 2, 3)
+#: n qubits pack into a pair at algebra level n, so 2**n amplitudes give n.
+QUBIT_COUNTS = LEVELS
+_SIZE_TO_N = {dim_of(n): n for n in QUBIT_COUNTS}
 
 #: The three one-qubit cuts of a 3-qubit state, named by the qubit split off.
 CUTS = (1, 2, 3)
@@ -43,8 +45,7 @@ class PureState:
 
     def __init__(self, amplitudes) -> None:
         arr = np.array(amplitudes, dtype=complex)
-        sizes = {2: 1, 4: 2, 8: 3}
-        if arr.ndim != 1 or arr.shape[0] not in sizes:
+        if arr.ndim != 1 or arr.shape[0] not in _SIZE_TO_N:
             raise ContractViolationError(
                 f"amplitude vector must have length 2, 4 or 8, got shape {arr.shape}"
             )
@@ -54,7 +55,7 @@ class PureState:
                 f"state is not normalized: sum |amplitude|^2 = {norm_sq!r}"
             )
         arr.setflags(write=False)
-        self._n = sizes[arr.shape[0]]
+        self._n = _SIZE_TO_N[arr.shape[0]]
         self._amplitudes = arr
 
     @property
@@ -254,11 +255,13 @@ _CUT_ORDER = np.array([
     [0, 2, 4, 6, 1, 3, 5, 7],
 ])
 
-# Column pairs of the six 2x2 minors of the reshaped matrix, ordered to match
-# the bilinear separability conditions for cut 1:
+# Column pairs of the 2x2 minors of (..., 2, k) matrices, keyed by k: the
+# determinant for k = 2, and for k = 4 six pairs ordered to match the
+# bilinear separability conditions for cut 1:
 # a0*g1 - d0*b1, a0*g0 - d0*b0, a0*d1 - d0*a1, a1*g1 - d1*b1, a1*g0 - d1*b0,
 # b0*g1 - g0*b1.
-_MINOR_PAIRS = np.array([(0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3)])
+_MINOR_PAIRS = {2: np.array([(0, 1)]),
+                4: np.array([(0, 3), (0, 2), (0, 1), (1, 3), (1, 2), (2, 3)])}
 
 
 def det2(m: np.ndarray):
@@ -281,16 +284,13 @@ def cut_stack(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def matrix_minors(matrix: np.ndarray) -> np.ndarray:
-    """The six 2x2 minors of (..., 2, 4) matrices, in _MINOR_PAIRS order."""
-    return det2(np.swapaxes(matrix[..., _MINOR_PAIRS], -3, -2))
+    """The (..., 1) or (..., 6) minors of (..., 2, 2) or (..., 2, 4) matrices."""
+    return det2(np.swapaxes(matrix[..., _MINOR_PAIRS[matrix.shape[-1]]], -3, -2))
 
 
-def split_residual(amplitudes: np.ndarray) -> float:
-    """Largest |2x2 minor| of a 2- or 3-qubit first_qubit_matrix; 0 iff it splits."""
-    m = first_qubit_matrix(amplitudes)
-    if m.shape[-1] == 2:
-        return float(abs(det2(m)))
-    return float(np.abs(matrix_minors(m)).max())
+def split_residual(matrix: np.ndarray) -> float:
+    """Largest |2x2 minor| of a 2- or 3-qubit first-qubit matrix; 0 iff it splits."""
+    return float(np.abs(matrix_minors(matrix)).max())
 
 
 def reshape_matrix(state: PureState, cut: int) -> np.ndarray:
@@ -357,7 +357,7 @@ def parse_amplitudes(spec: str) -> np.ndarray:
             values.append(complex(float(parts[0]), float(parts[1])))
         except ValueError as exc:
             raise ValueError(f"bad amplitude token {token!r}: {exc}") from exc
-    if len(values) not in (2, 4, 8):
+    if len(values) not in _SIZE_TO_N:
         raise ValueError(
             f"expected 2, 4 or 8 amplitudes, got {len(values)}"
         )

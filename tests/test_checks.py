@@ -17,7 +17,9 @@ from hopfq.checks import (
     suite_minor_measure_equals_e_avg,
 )
 from hopfq.entanglement import cut_entanglement, minor_sum, reduced_density
-from hopfq.qubit_states import cut_stack, det2, format_amplitudes, haar_amplitudes, matrix_minors
+from hopfq.qubit_states import (
+    PureState, cut_stack, det2, format_amplitudes, haar_amplitudes, matrix_minors,
+)
 
 
 def test_all_suites_pass():
@@ -182,6 +184,29 @@ def test_per_cut_suites_in_blocks_equal_a_whole_batch(monkeypatch, trials):
     assert np.array_equal(got, det_errors)
     got = suite_row_errors(monkeypatch, suite_minor_measure_equals_e_avg, trials, 9)
     assert np.array_equal(got, minor_errors)
+
+
+def count_stack_builds(monkeypatch) -> list:
+    """Patch ``cut_stack`` where the per-cut paths bind it; one entry per call."""
+    calls = []
+
+    def counted(amplitudes):
+        calls.append(np.shape(amplitudes))
+        return cut_stack(amplitudes)
+
+    for module in (hopfq.entanglement, hopfq.checks):
+        monkeypatch.setattr(module, "cut_stack", counted)
+    return calls
+
+
+def test_classify_and_the_per_cut_suite_build_each_stack_once(monkeypatch):
+    calls = count_stack_builds(monkeypatch)
+    hopfq.entanglement.classify(PureState.w())
+    assert len(calls) == 1
+    calls.clear()
+    # 2049 rows run as blocks of 1024, 1024 and 1: one stack per block.
+    assert suite_e_equals_4_det_rho(2049, np.random.default_rng(0)).passed
+    assert calls == [(1024, 8), (1024, 8), (1, 8)]
 
 
 @pytest.mark.parametrize("suite", PER_CUT_SUITES, ids=lambda suite: suite.__name__)

@@ -10,7 +10,7 @@ from hopfq.errors import ContractViolationError, SeparabilityError
 from hopfq.hopf_maps import (
     INFINITY,
     BasePoint,
-    base_entanglement,
+    coords_entanglement,
     fiber_chart,
     fiber_decompose,
     h1_value,
@@ -232,6 +232,15 @@ def test_stereographic_inverse_requires_level_for_infinity():
         stereographic_inverse(INFINITY)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_stereographic_inverse_rejects_a_contradicting_level(level):
+    value = HyperComplex.one(level)
+    assert stereographic_inverse(value, level=level) == stereographic_inverse(value)
+    for other in {1, 2, 3} - {level}:
+        with pytest.raises(ContractViolationError, match="contradicts"):
+            stereographic_inverse(value, level=other)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stereographic_matches_h1(n):
     rng = np.random.default_rng(137 + n)
@@ -340,7 +349,7 @@ def test_products_map_to_complex_subspace():
     for _ in range(1000):
         coords = hopf_base(random_product_state(rng)).coords
         assert np.abs(coords[2:8]).max() <= 1e-10
-        assert base_entanglement(BasePoint(coords)) <= 1e-10
+        assert coords_entanglement(coords) <= 1e-10
 
 
 def test_two_qubit_products_keep_x3_x4_zero():

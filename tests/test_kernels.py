@@ -32,7 +32,6 @@ from hopfq.hopf_maps import (
     BasePoint,
     _fiber_pair,
     base_coords,
-    base_entanglement,
     coords_entanglement,
     descend,
     fiber_chart,
@@ -209,11 +208,13 @@ def test_e_measures_wrap_cut_entanglement(size):
 @pytest.mark.parametrize("size", [1, ROWS])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_base_entanglement_wraps_coords_entanglement(size, n):
+    """The E of one base point, as each descent stage reads it, is its row of
+    the batched kernel."""
     rows = base_coords(*pack_coeffs(amplitude_rows(n, 80 + n)))
     rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     for offset, batch in batches(rows, size):
         for k, e in enumerate(coords_entanglement(batch)):
-            assert base_entanglement(BasePoint(rows[offset + k])) == e
+            assert float(coords_entanglement(BasePoint(rows[offset + k]).coords)) == e
 
 
 @pytest.mark.parametrize("size", [1, ROWS])
@@ -314,8 +315,7 @@ def test_descent_core_from_the_cut_stack_equals_iterated_analysis():
     for amps in classify_rows():
         stack = cut_stack(amps)
         coords = base_coords(*pack_coeffs(stack.reshape(3, -1)))
-        residual = float(np.abs(matrix_minors(stack)[0]).max())
-        report = descend(stack[0], coords[0], residual)
+        report = descend(stack[0], coords[0])
         assert report == iterated_analysis(PureState(amps))
         lengths.add(len(report.stages))
     assert lengths == {1, 2, 3}

@@ -17,6 +17,7 @@ from hopfq.qubit_states import (
     cut_stack,
     cut_state,
     det2,
+    first_qubit_matrix,
     format_amplitudes,
     format_number,
     haar_amplitudes,
@@ -458,15 +459,28 @@ def test_matrix_minors_match_list_reference():
         assert np.array_equal(matrix_minors(m), got)
 
 
+def test_matrix_minors_of_two_columns_is_the_determinant():
+    rng = np.random.default_rng(88)
+    batch = random_batch(rng, (30, 4)).reshape(-1, 2, 2)
+    for matrices in (batch[:1], batch):
+        minors = matrix_minors(matrices)
+        assert minors.shape == (matrices.shape[0], 1)
+        assert np.array_equal(minors, det2(matrices)[..., None])
+
+
 def test_split_residual_two_and_three_qubits():
     rng = np.random.default_rng(86)
     for _ in range(20):
         a = random_amps(rng, 2)
-        assert split_residual(a) == abs(a[0] * a[3] - a[1] * a[2])
+        # One-element arrays: the residual rounds as numpy's array complex
+        # product, as every minor of 2 and 3 qubits does.
+        want = np.abs(a[[0]] * a[[3]] - a[[1]] * a[[2]])[0]
+        assert split_residual(first_qubit_matrix(a)) == want
         state = haar_state(rng, 3)
-        assert split_residual(state.amplitudes) == np.abs(cut_minors(state, 1)).max()
+        matrix = first_qubit_matrix(state.amplitudes)
+        assert split_residual(matrix) == np.abs(cut_minors(state, 1)).max()
     product = tensor(haar_state(rng, 1), haar_state(rng, 2))
-    assert split_residual(product.amplitudes) <= 1e-15
+    assert split_residual(first_qubit_matrix(product.amplitudes)) <= 1e-15
 
 
 def test_haar_amplitudes_draw_order():
