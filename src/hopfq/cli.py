@@ -12,6 +12,7 @@ without --renormalize).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -227,7 +228,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Every call returns the same object, so callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="hopfq",
         description=(
@@ -258,14 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=SEPARABILITY_TOL,
         help="separability residual tolerance (default %(default)g)",
     )
-    p_analyze.set_defaults(fn=cmd_analyze)
 
     p_coords = sub.add_parser("coords", help="base coordinates of a state")
     add_state_options(p_coords)
     p_coords.add_argument("--cut", type=int, default=1, choices=CUTS,
                           help="qubit moved to the base role (3-qubit states)")
     p_coords.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p_coords.set_defaults(fn=cmd_coords)
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo entanglement statistics")
     p_sample.add_argument("n", type=int, choices=QUBIT_COUNTS, help="qubit count")
@@ -273,21 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--histogram", type=int, default=0, metavar="BINS",
                           help="emit a histogram with this many bins instead of per-sample rows")
-    p_sample.set_defaults(fn=cmd_sample)
 
     p_check = sub.add_parser("check", help="run the invariant self-test suites")
     p_check.add_argument("--trials", type=int, default=2000)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(fn=cmd_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, so a rebound cmd_* (a tracer, a test spy) is the one run.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT_VIOLATION

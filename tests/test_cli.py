@@ -1,5 +1,6 @@
 """CLI conformance: documents, determinism, exit codes."""
 
+import argparse
 import math
 import re
 import subprocess
@@ -344,3 +345,76 @@ def test_check_rejects_vacuous_trials(capsys, trials):
     assert code == 2
     assert out == ""
     assert "trials must be at least 1" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def run_exit(capsys, argv):
+    """Like run, but an argparse exit gives its code instead of raising."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_dispatch_follows_rebound_handlers(capsys, monkeypatch):
+    """A handler rebound on the module after the parser exists is the one
+    main runs, as a tracer that wraps cmd_* relies on."""
+    assert run(capsys, ["analyze", "ghz"])[0] == 0
+    seen = []
+
+    def spy(name):
+        def handler(args):
+            seen.append((name, args.state))
+            return 0
+        return handler
+
+    monkeypatch.setattr(hopfq.cli, "cmd_analyze", spy("analyze"))
+    monkeypatch.setattr(hopfq.cli, "cmd_coords", spy("coords"))
+    assert run(capsys, ["analyze", "ghz"]) == (0, "", "")
+    assert run(capsys, ["coords", "w"]) == (0, "", "")
+    assert seen == [("analyze", "ghz"), ("coords", "w")]
+
+
+def test_reused_parser_matches_a_fresh_process(capsys):
+    """Options overridden by one call are back at their defaults in the next,
+    and every call reads as it would in a process of its own."""
+    sequence = [
+        ["analyze", "ghz", "--tol", "0.5"],
+        ["analyze", "ghz"],
+        ["coords", "w", "--cut", "2", "--csv"],
+        ["coords", "w"],
+        ["coords", "ghz", "--cut", "7"],
+        ["analyze", "w"],
+    ]
+    in_process = [run_exit(capsys, argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfq", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
+
+
+def test_main_builds_no_parser_after_the_first(capsys, monkeypatch):
+    main(["coords", "ghz"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["analyze", "ghz"], ["coords", "w"], ["sample", "1", "3"],
+                 ["check", "--trials", "1"], ["analyze", "w", "--tol", "0"]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+    assert hopfq.cli.build_parser() is hopfq.cli.build_parser()
